@@ -59,6 +59,8 @@ class ExperimentConfig:
         unknown = [a for a in self.algorithms if a not in ALL_ALGOS]
         if unknown:
             raise ValueError(f"unknown algorithms: {', '.join(unknown)}")
+        # more worker processes than cores only add start-up cost and memory
+        self.workers = max(1, min(self.workers, os.cpu_count() or 1))
 
     def epst_params(self) -> EpstParams:
         values = {k: int(v) for k, v in self.scenario.epst_overrides.items()}
@@ -286,7 +288,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         else file_opts["out"]),
             dump_tree=args.dump_tree or bool(file_opts.get("dump_tree", False)),
             param_overrides=merged_overrides,
-            workers=max(1, args.workers),
+            workers=args.workers,
         )
     except (ValueError, TypeError) as exc:
         print(str(exc), file=sys.stderr)

@@ -7,6 +7,15 @@ is the sum of the per-step estimates for c over (t_prev, t_event],
 normalized by the same sum over all channels (zero if nothing was
 predicted at all). Scenario rules adjust which events are scored, which
 cells are masked, and how the summation window is padded/shifted (jitter).
+
+`next_event_probability` states this over a per-cell estimate function.
+Scoring computes the same sums without visiting every (step, channel)
+cell: for steps before the scored event it walks the nonzero cells of the
+triggers that are latest for those steps (`EpstRunResult.cells_between`),
+in (step, channel) order, so every float sum is bit-identical; only the
+pad + 1 steps at or after the event, where the before cap makes an earlier
+trigger's grid apply, are looked up cell by cell. False-positive counting
+is one pass over the same nonzero cells.
 """
 
 from __future__ import annotations
@@ -103,6 +112,40 @@ def next_event_probability(
     return num / den if den > 0.0 else 0.0
 
 
+def _window_probability(
+    run: EpstRunResult,
+    num_channels: int,
+    channel: int,
+    t_lo: int,
+    t_hi: int,
+    before_time: float,
+    masks: Set[Cell] = frozenset(),
+    allowed: Optional[Set[Cell]] = None,
+) -> float:
+    """next_event_probability(run.latest_estimate, ...), summed from the
+    triggers' nonzero cells."""
+
+    def counted(c: int, step: int) -> bool:
+        return (c, step) not in masks and (allowed is None or (c, step) in allowed)
+
+    num = 0.0
+    den = 0.0
+    capped = math.ceil(before_time)  # first step the before cap can change
+    for step, c, v in run.cells_between(t_lo, min(t_hi, capped - 1)):
+        if counted(c, step):
+            den += v
+            if c == channel:
+                num += v
+    for step in range(max(t_lo + 1, capped), t_hi + 1):
+        for c in range(num_channels):
+            if counted(c, step):
+                v = run.latest_estimate(c, step, before_time)
+                den += v
+                if c == channel:
+                    num += v
+    return num / den if den > 0.0 else 0.0
+
+
 def _score_stream(
     run: EpstRunResult,
     num_channels: int,
@@ -120,8 +163,8 @@ def _score_stream(
     t_prev = t_prev_init
     for e in scored:
         if t_prev is not None and t_prev < e.time:
-            p = next_event_probability(
-                run.latest_estimate,
+            p = _window_probability(
+                run,
                 num_channels,
                 e.channel,
                 t_prev + pad,
@@ -206,8 +249,8 @@ def _score_padded(
     for e in scored:
         if t_prev is not None and t_prev < e.time:
             allowed = {(e.channel, e.time + dt) for dt in range(-pad, pad + 1)}
-            p = next_event_probability(
-                run.latest_estimate,
+            p = _window_probability(
+                run,
                 num_channels,
                 e.channel,
                 t_prev + pad,
@@ -283,15 +326,13 @@ def score_vmm(
 
 
 def aggregate_runs(traces: Sequence[ErrorTrace]) -> ErrorTrace:
-    """Per-bin sample-weighted mean over seeds; traces must share binning."""
+    """Per-bin sample-weighted mean over seeds. Traces must share their bin
+    width; their spans may differ, and bins align on their starts."""
     if not traces:
         raise ValueError("need at least one trace")
     widths = {t.bin_width for t in traces}
-    starts = {tuple(b[0] for b in t.bins) for t in traces}
-    if len(widths) != 1 or len(starts) > 1:
-        # allow differing spans: align on bin starts union
-        if len(widths) != 1:
-            raise ValueError("traces disagree on bin width")
+    if len(widths) != 1:
+        raise ValueError("traces disagree on bin width")
     width = widths.pop()
     sums: Dict[int, float] = {}
     counts: Dict[int, int] = {}
@@ -325,12 +366,9 @@ def count_false_positives(
     counts: Dict[int, int] = {}
     for start in range(0, span + 1, bin_width):
         counts[start] = 0
-    for step in range(span + 1):
-        for c in range(stream.num_channels):
-            if (c, step) in true_cells:
-                continue
-            if run.latest_estimate(c, step, step + 0.5) >= threshold:
-                counts[(step // bin_width) * bin_width] += 1
+    for step, c, p in run.cells_between(-1, span):
+        if p >= threshold and (c, step) not in true_cells:
+            counts[(step // bin_width) * bin_width] += 1
     return sorted(counts.items())
 
 

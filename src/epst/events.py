@@ -195,19 +195,39 @@ def _assign(items, idx, entries, used, tol):
 
 
 def read_stream(path, num_channels: int) -> EventStream:
-    """Event stream file: one `time,channel[,label]` per line, UTF-8."""
-    events = []
+    """Event stream file: one `time,channel[,label]` per line, UTF-8. A bad
+    line raises ValueError naming the file and its 1-based line number."""
+    events: List[Event] = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
-            if len(parts) not in (2, 3):
-                raise ValueError(f"bad stream line: {line!r}")
-            label = parts[2].strip() if len(parts) == 3 else LABEL_SIGNAL
-            events.append(Event(int(parts[0]), int(parts[1]), label))
+            try:
+                event = _parse_event(line, num_channels)
+                if events and event.time < events[-1].time:
+                    raise ValueError(
+                        f"time {event.time} is earlier than the previous event's {events[-1].time}"
+                    )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            events.append(event)
     return EventStream(tuple(events), num_channels)
+
+
+def _parse_event(line: str, num_channels: int) -> Event:
+    parts = line.split(",")
+    if len(parts) not in (2, 3):
+        raise ValueError(f"expected time,channel[,label], got {line!r}")
+    try:
+        time, channel = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"time and channel must be integers, got {line!r}") from None
+    label = parts[2].strip() if len(parts) == 3 else LABEL_SIGNAL
+    event = Event(time, channel, label)
+    if channel >= num_channels:
+        raise ValueError(f"channel {channel} out of range [0, {num_channels})")
+    return event
 
 
 def write_stream(path, stream: EventStream) -> None:

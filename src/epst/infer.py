@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -125,6 +126,17 @@ class PredictionMatrix:
         if row is None:
             return 0.0
         return row[n]
+
+    @cached_property
+    def cells(self) -> Tuple[Tuple[int, int, float], ...]:
+        """The nonzero cells of `estimates` as (n, channel, p), sorted by
+        (n, channel). Derived on first use, so the grid must be final by
+        then."""
+        return tuple(sorted(
+            (n, channel, p)
+            for channel, row in self.estimates.items() if any(row)
+            for n, p in enumerate(row[: self.steps + 1]) if p
+        ))
 
     def to_csv(self) -> str:
         lines = ["channel,n,probability"]
@@ -251,14 +263,14 @@ def sampled_predict(
         raise ValueError("sample_size and repeats must be >= 1")
     m = max(tree.params.history_window for tree in trees)
     events = context_events(stream, t, m)
+    if sample_size >= len(events):
+        # every repeat would predict on the same full context
+        return _predict_from_events(trees, events, t)
     rng = np.random.default_rng(seed)
     agg: Optional[PredictionMatrix] = None
     for _ in range(repeats):
-        if sample_size >= len(events):
-            subset = list(events)
-        else:
-            idx = rng.choice(len(events), size=sample_size, replace=False)
-            subset = [events[i] for i in sorted(idx)]
+        idx = rng.choice(len(events), size=sample_size, replace=False)
+        subset = [events[i] for i in sorted(idx)]
         matrix = _predict_from_events(trees, subset, t)
         if agg is None:
             agg = matrix

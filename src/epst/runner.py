@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .events import Event, EventStream, HistoryWindow, LABEL_DROPPED
 from .extensions import (
@@ -55,6 +55,23 @@ class EpstRunResult:
             return 0.0
         return self.matrices[idx].probability(channel, n)
 
+    def cells_between(self, step_lo: int, step_hi: int) -> Iterator[Tuple[int, int, float]]:
+        """Every nonzero (step, channel, p) with step in (step_lo, step_hi],
+        in (step, channel) order: the cells `latest_estimate` reads with no
+        before cap. Trigger i is the latest one for the steps
+        [T_i, T_{i+1} - 1], so only its own nonzero cells are visited."""
+        times = self.trigger_times
+        i = max(bisect.bisect_right(times, step_lo + 1) - 1, 0)
+        while i < len(times) and times[i] <= step_hi:
+            last = step_hi if i + 1 == len(times) else min(step_hi, times[i + 1] - 1)
+            for n, channel, p in self.matrices[i].cells:
+                step = times[i] + n
+                if step > last:
+                    break
+                if step > step_lo:
+                    yield step, channel, p
+            i += 1
+
 
 @dataclass
 class VmmRunResult:
@@ -72,6 +89,8 @@ def run_epst(
     sampling: Optional[SamplingConfig] = None,
     fp_threshold: float = FALSE_POSITIVE_THRESHOLD,
 ) -> EpstRunResult:
+    if not 0.0 < fp_threshold <= 1.0:
+        raise ValueError("fp_threshold must be in (0, 1]")
     C = stream.num_channels
     trees = [EpstTree(g, params) for g in range(C)]
     visible = [e for e in stream.events if e.label != LABEL_DROPPED]
@@ -91,22 +110,18 @@ def run_epst(
         hi = bisect.bisect_right(vis_times, t)
         return [(e.time, e.channel) for e in visible[lo:hi]]
 
-    def resolve_false_positives(step_lo: int, step_hi: int, present: frozenset):
-        """Check every step in [step_lo, step_hi] for confident predictions
-        of channels with no event there, and teach inhibitory patterns."""
-        for step in range(step_lo, step_hi + 1):
-            window = None
-            for tree in trees:
-                if tree.g in present and step == step_hi:
-                    continue
-                p = result.latest_estimate(tree.g, step, float("inf"))
-                if p < fp_threshold:
-                    continue
-                if (tree.g, step) in vis_cells:
-                    continue
-                if window is None:
-                    window = window_at(step)
-                record_false_positive(tree, window)
+    def resolve_false_positives(step_lo: int, step_hi: int):
+        """Check every step in (step_lo, step_hi] for confident predictions
+        of channels with no event there, and teach inhibitory patterns.
+        Called before the trigger at step_hi is made, so every such step
+        reads the cells of the latest trigger."""
+        window_step, window = None, None
+        for step, g, p in result.cells_between(step_lo, step_hi):
+            if p < fp_threshold or (g, step) in vis_cells:
+                continue
+            if step != window_step:
+                window_step, window = step, window_at(step)
+            record_false_positive(trees[g], window)
 
     # iterate events grouped by time
     groups: List[Tuple[int, List[Event]]] = []
@@ -120,9 +135,8 @@ def run_epst(
     next_prune = PRUNE_INTERVAL_EVENTS
     last_resolved = -1
     for t, evs in groups:
-        channels_now = frozenset(e.channel for e in evs)
         if variant.inhibition:
-            resolve_false_positives(last_resolved + 1, t, channels_now)
+            resolve_false_positives(last_resolved, t)
             # matched inhibitory patterns coinciding with actual spikes
             for e in evs:
                 idx = bisect.bisect_left(result.trigger_times, t) - 1

@@ -108,6 +108,14 @@ def test_config_validation():
         ExperimentConfig(script, ("magic",), 1, "out")
 
 
+def test_workers_capped_at_cpu_count(tiny_cfg):
+    script = load_scenario_file(tiny_cfg)
+    cores = os.cpu_count() or 1
+    assert ExperimentConfig(script, ("epst",), 1, "out", workers=10**6).workers == cores
+    assert ExperimentConfig(script, ("epst",), 1, "out", workers=0).workers == 1
+    assert ExperimentConfig(script, ("epst",), 1, "out").workers == 1
+
+
 # ---------------------------------------------------------------------------
 # entry point exit codes
 

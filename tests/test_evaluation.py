@@ -1,12 +1,16 @@
 """Scoring tests built on hand-constructed prediction grids, so every
 expected probability is a short exact calculation."""
 
+import math
+
 import numpy as np
 import pytest
 
+from epst import evaluation
 from epst.events import Event, EventStream
 from epst.evaluation import (
     ErrorTrace,
+    _window_probability,
     aggregate_runs,
     bin_errors,
     count_false_positives,
@@ -20,8 +24,10 @@ from epst.evaluation import (
 )
 from epst.extensions import VARIANTS
 from epst.infer import PredictionMatrix
-from epst.runner import EpstRunResult, VmmRunResult
+from epst.runner import EpstRunResult, VmmRunResult, run_epst
 from epst.tree import EpstParams
+
+from test_runner import noisy_stream
 
 
 def make_run(cells, trigger=10, steps=28, num_channels=2):
@@ -243,3 +249,109 @@ def test_false_positive_csv_format():
     assert false_positive_csv([(0, 3), (250, 0)], "epst_i") == (
         "bin_start,count,algorithm\n0,3,epst_i\n250,0,epst_i\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# the per-trigger cell walk against the per-cell reference
+
+SCORING_MODES = ("structured", "random_noise", "jitter", "jitter_dropout")
+LABELS = ("signal", "interference", "noise", "dropped")
+
+
+def random_case(seed, num_channels=3, steps=6):
+    """A run of eight triggers with sparse random grids over steps 0..6 (so
+    some grids end before the next trigger, others overlap it; one row may
+    be missing) and a stream of every label over the same steps."""
+    rng = np.random.default_rng(seed)
+    times = sorted(int(t) for t in rng.choice(60, size=8, replace=False))
+    matrices = []
+    for t in times:
+        estimates = {}
+        for c in range(num_channels):
+            if rng.random() < 0.1:
+                continue
+            row = rng.random(steps + 1) * (rng.random(steps + 1) < 0.4)
+            estimates[c] = [float(v) for v in row]
+        matrices.append(PredictionMatrix(t, steps, estimates))
+    run = EpstRunResult(times, matrices, [], EpstParams(), VARIANTS["epst"])
+    events = sorted(
+        (int(rng.integers(0, 70)), int(rng.integers(0, num_channels)), LABELS[int(rng.integers(4))])
+        for _ in range(30)
+    )
+    stream = EventStream(tuple(Event(*e) for e in events), num_channels)
+    return run, stream
+
+
+def per_cell_cells(run, num_channels, lo, hi):
+    return [
+        (step, c, v)
+        for step in range(lo + 1, hi + 1)
+        for c in range(num_channels)
+        if (v := run.latest_estimate(c, step, math.inf))
+    ]
+
+
+def per_cell_probability(run, *args, **kwargs):
+    return next_event_probability(run.latest_estimate, *args, **kwargs)
+
+
+def per_cell_false_positives(run, stream, threshold=0.5, bin_width=250):
+    true_cells = {
+        (e.channel, e.time) for e in stream.events if e.label in ("signal", "interference", "dropped")
+    }
+    span = stream.events[-1].time
+    counts = {start: 0 for start in range(0, span + 1, bin_width)}
+    for step in range(span + 1):
+        for c in range(stream.num_channels):
+            if (c, step) not in true_cells and run.latest_estimate(c, step, step + 0.5) >= threshold:
+                counts[(step // bin_width) * bin_width] += 1
+    return sorted(counts.items())
+
+
+def assert_scoring_matches_per_cell(run, stream, monkeypatch, bin_width=250):
+    for mode in SCORING_MODES:
+        for pad in (0, 4):
+            fast = score_epst(run, stream, mode, bin_width, pad)
+            with monkeypatch.context() as m:
+                m.setattr(evaluation, "_window_probability", per_cell_probability)
+                slow = score_epst(run, stream, mode, bin_width, pad)
+            assert fast == slow, (mode, pad)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cell_walk_matches_per_cell_on_hand_built_runs(seed, monkeypatch):
+    run, stream = random_case(seed)
+    for lo in range(-1, 72, 3):
+        for hi in range(lo, 75, 4):
+            assert list(run.cells_between(lo, hi)) == per_cell_cells(run, 3, lo, hi)
+
+    rng = np.random.default_rng(100 + seed)
+    cells = [(c, s) for c in range(3) for s in range(75)]
+    for _ in range(200):
+        t_lo = int(rng.integers(-1, 65))
+        t_hi = t_lo + int(rng.integers(1, 12))
+        # at or before t_hi, so the last steps of the window are before-capped
+        before = t_hi - int(rng.integers(0, 5)) - 0.5 * int(rng.integers(2))
+        masks = {cells[i] for i in rng.choice(len(cells), size=20)}
+        allowed = None
+        if rng.random() < 0.5:
+            allowed = {cells[i] for i in rng.choice(len(cells), size=60)}
+        args = (3, int(rng.integers(3)), t_lo, t_hi, before, masks, allowed)
+        assert _window_probability(run, *args) == per_cell_probability(run, *args)
+
+    assert_scoring_matches_per_cell(run, stream, monkeypatch, bin_width=10)
+    for threshold in (0.5, 0.25, 1.0):
+        assert count_false_positives(run, stream, threshold, 10) == per_cell_false_positives(
+            run, stream, threshold, 10
+        )
+
+
+def test_cell_walk_matches_per_cell_on_a_real_run(monkeypatch):
+    stream = noisy_stream()
+    run = run_epst(stream, EpstParams(branch_extension_threshold=0), VARIANTS["epst_ip"])
+    span = stream.events[-1].time
+    assert list(run.cells_between(-1, span)) == per_cell_cells(run, stream.num_channels, -1, span)
+    assert_scoring_matches_per_cell(run, stream, monkeypatch)
+    counts = count_false_positives(run, stream)
+    assert sum(n for _, n in counts) > 100
+    assert counts == per_cell_false_positives(run, stream)

@@ -212,6 +212,29 @@ def test_stream_reader_defaults_and_comments(tmp_path):
     assert stream.events == (Event(3, 1), Event(7, 0, "noise"))
 
 
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("7", "expected time,channel[,label]"),
+        ("7,1,noise,extra", "expected time,channel[,label]"),
+        ("7,x", "must be integers"),
+        ("7.5,1", "must be integers"),
+        ("-3,1", "event time must be >= 0"),
+        ("7,-1", "channel must be >= 0"),
+        ("7,2", "channel 2 out of range [0, 2)"),
+        ("7,1,banana", "unknown label 'banana'"),
+        ("2,1", "earlier than the previous event's 3"),
+    ],
+)
+def test_stream_reader_errors_name_file_and_line(tmp_path, bad_line, message):
+    path = tmp_path / "events.csv"
+    path.write_text(f"# header\n3,1\n\n{bad_line}\n9,0\n")
+    with pytest.raises(ValueError) as info:
+        read_stream(path, 2)
+    assert str(info.value).startswith(f"{path}:4: ")
+    assert message in str(info.value)
+
+
 def test_stream_rejects_unsorted():
     with pytest.raises(ValueError):
         EventStream((Event(5, 0), Event(3, 1)), 2)

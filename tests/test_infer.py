@@ -231,6 +231,8 @@ def test_oversized_sample_equals_full():
     k = len(context_events(stream, t, p.history_window))
     sampled = sampled_predict(trees, stream, t, k + 3, 5, seed=1)
     assert sampled.estimates == full.estimates
+    assert sampled.chosen == full.chosen
+    assert sampled.inhibitory_hits == full.inhibitory_hits
 
 
 def test_sampling_deterministic_and_bounded():

@@ -1,8 +1,16 @@
 """Online driver tests: trigger bookkeeping, variants, determinism."""
 
-from epst.datagen import apply_dropout, gen_base
-from epst.events import Event, EventStream
-from epst.extensions import VARIANTS
+import pytest
+
+from epst import runner
+from epst.datagen import (
+    add_random_events,
+    add_structured_interference,
+    apply_dropout,
+    gen_base,
+)
+from epst.events import Event, EventStream, window_of
+from epst.extensions import FALSE_POSITIVE_THRESHOLD, VARIANTS
 from epst.runner import SamplingConfig, run_epst, run_vmm
 from epst.tree import EpstParams
 
@@ -83,3 +91,63 @@ def test_run_vmm_counts_every_event():
     run = run_vmm(stream, "ppmc")
     assert len(run.events) == len(run.probabilities) == 80
     assert all(p is not None for p in run.probabilities[1:])
+
+
+def test_fp_threshold_validated():
+    stream = EventStream((Event(5, 0),), 1)
+    for bad in (0.0, 1.5):
+        with pytest.raises(ValueError):
+            run_epst(stream, EpstParams(), fp_threshold=bad)
+
+
+# ---------------------------------------------------------------------------
+# in-run false-positive resolution against the per-cell definition
+
+
+def noisy_stream():
+    """A short six-channel cyclic signal with every kind of label: an
+    interference interval, a random-noise interval and a dropout tail."""
+    stream = gen_base(3, 200, 6, cycle_length=20)
+    stream = add_structured_interference(stream, 4, [(600, 1000)])
+    stream = add_random_events(stream, 5, [(1200, 1700)])
+    return apply_dropout(stream, 6, 0.2, onset_time=1900)
+
+
+def test_false_positive_resolution_matches_per_cell(monkeypatch):
+    """Every step between two event times is checked on every channel,
+    through latest_estimate capped at the later time (the triggers that
+    existed when the step was resolved); the record_false_positive calls
+    must come in (step, channel) order with one window per step."""
+    stream = noisy_stream()
+    params = EpstParams(branch_extension_threshold=0)
+    calls = []
+    record = runner.record_false_positive
+
+    def recording(tree, window):
+        calls.append((tree.g, window))
+        return record(tree, window)
+
+    monkeypatch.setattr(runner, "record_false_positive", recording)
+    run = run_epst(stream, params, VARIANTS["epst_ip"])
+
+    visible = stream.visible()
+    vis_cells = {(e.channel, e.time) for e in visible}
+    expected = []
+    prev = -1
+    for t in run.trigger_times:
+        present = {e.channel for e in visible if e.time == t}
+        for step in range(prev + 1, t + 1):
+            for g in range(stream.num_channels):
+                if g in present and step == t or (g, step) in vis_cells:
+                    continue
+                if run.latest_estimate(g, step, t) >= FALSE_POSITIVE_THRESHOLD:
+                    expected.append((g, step))
+        prev = t
+    assert len(expected) > 100
+    assert [g for g, _ in calls] == [g for g, _ in expected]
+    for (_, window), (_, step) in zip(calls, expected):
+        assert window == window_of(stream, step, params.history_window)
+    for (_, a), (_, b), (_, step_a), (_, step_b) in zip(
+        calls, calls[1:], expected, expected[1:]
+    ):
+        assert (a is b) == (step_a == step_b)
