@@ -5,9 +5,7 @@ error traces side by side.
 Run: python3 demos/benchmark_walkthrough.py   (about 10 seconds)
 """
 
-from epst import load_scenario, run_epst, run_vmm
-from epst.evaluation import score_epst, score_vmm
-from epst.tree import EpstParams
+from epst import EpstParams, load_scenario, run_epst, run_vmm, score_epst, score_vmm
 
 scenario = load_scenario("structured_same")
 stream = scenario.build_stream(seed=0)

@@ -4,8 +4,7 @@ spike-triggered prediction grid.
 Run: python3 demos/quickstart.py
 """
 
-from epst import EpstParams, Event, EventStream, predict_window, new_tree
-from epst.events import window_of
+from epst import EpstParams, EpstTree, Event, EventStream, predict_window, window_of
 
 # a 3-event pattern on channels 1, 2, 3 announcing a spike on channel 0,
 # repeated three times
@@ -17,7 +16,7 @@ for rep in range(3):
 stream = EventStream(tuple(events), num_channels=4)
 
 params = EpstParams()
-trees = [new_tree(g, params) for g in range(4)]
+trees = [EpstTree(g, params) for g in range(4)]
 
 # online learning: every spike updates denominators; a spike in a tree's
 # preferred channel updates numerators and grows that tree

@@ -4,14 +4,13 @@ pattern B alone predicts g, but A and B together must not.
 Run: python3 demos/xor_inhibition.py
 """
 
-from epst import EpstParams, new_tree, record_false_positive
+from epst import EpstParams, EpstTree, predict_from_context, record_false_positive
 from epst.events import HistoryWindow
-from epst.infer import predict_from_context
 
 params = EpstParams(
     branch_extension_threshold=0, frequency_threshold=0, min_subseq_len=1
 )
-tree = new_tree(0, params)
+tree = EpstTree(0, params)
 
 # one-shot training: A = spike on channel 1 ten steps back, B = channel 2
 tree.step2_numerators_and_extend(HistoryWindow(frozenset({(10, 1)}), 32))

@@ -1,89 +1,36 @@
 """Event-based prediction suffix trees for online multi-channel event
 stream prediction, with order-based VMM baselines and a synthetic noisy
-benchmark suite."""
+benchmark suite.
 
-from .events import (
-    Event,
-    EventStream,
-    HistoryWindow,
-    LABEL_DROPPED,
-    LABEL_INTERFERENCE,
-    LABEL_NOISE,
-    LABEL_SIGNAL,
-    Subsequence,
-    enumerate_subsequences,
-    read_stream,
-    subsequence_matches,
-    window_of,
-    write_stream,
-)
-from .extensions import (
-    Variant,
-    VARIANTS,
-    inhibitory_maintenance,
-    prune_entropy,
-    prune_random,
-    record_false_positive,
-)
-from .infer import (
-    Candidate,
-    PredictionMatrix,
-    UndefinedCandidateError,
-    entropy,
-    estimate_probability,
-    predict_window,
-    sampled_predict,
-    select_representative,
-)
-from .runner import EpstRunResult, SamplingConfig, VmmRunResult, run_epst, run_vmm
-from .scenarios import SCENARIO_IDS, ScenarioScript, load_scenario, load_scenario_file
-from .tree import EpstParams, EpstTree, new_tree
-from .vmm import VmmModel, symbolize, vmm_predict, vmm_update
+The names below are the ones the README, the demos and the command line
+use; everything else is reached through its module (`epst.events`,
+`epst.infer`, `epst.evaluation`, ...)."""
+
+from .evaluation import score_epst, score_vmm
+from .events import Event, EventStream, window_of
+from .extensions import VARIANTS, record_false_positive
+from .infer import predict_from_context, predict_window
+from .runner import run_epst, run_vmm
+from .scenarios import SCENARIO_IDS, load_scenario, load_scenario_file
+from .tree import EpstParams, EpstTree
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Event",
     "EventStream",
-    "HistoryWindow",
-    "Subsequence",
-    "LABEL_SIGNAL",
-    "LABEL_INTERFERENCE",
-    "LABEL_NOISE",
-    "LABEL_DROPPED",
-    "enumerate_subsequences",
-    "subsequence_matches",
     "window_of",
-    "read_stream",
-    "write_stream",
     "EpstParams",
     "EpstTree",
-    "new_tree",
-    "Candidate",
-    "PredictionMatrix",
-    "UndefinedCandidateError",
-    "estimate_probability",
-    "entropy",
-    "select_representative",
     "predict_window",
-    "sampled_predict",
-    "Variant",
-    "VARIANTS",
+    "predict_from_context",
     "record_false_positive",
-    "inhibitory_maintenance",
-    "prune_entropy",
-    "prune_random",
-    "VmmModel",
-    "symbolize",
-    "vmm_update",
-    "vmm_predict",
-    "SCENARIO_IDS",
-    "ScenarioScript",
-    "load_scenario",
-    "load_scenario_file",
-    "SamplingConfig",
-    "EpstRunResult",
-    "VmmRunResult",
+    "VARIANTS",
     "run_epst",
     "run_vmm",
+    "score_epst",
+    "score_vmm",
+    "SCENARIO_IDS",
+    "load_scenario",
+    "load_scenario_file",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,6 +41,11 @@ from .vmm import VmmModel
 STRUCTURED_SEEDS = 25
 SECONDARY_SEEDS = 5
 QUICK_SEEDS = 3
+ORACLE_STREAMS = 50
+QUICK_ORACLE_STREAMS = 10
+CLEAN_THRESHOLD = 0.05
+# small-sample variance of the quick mode's three seeds
+QUICK_CLEAN_THRESHOLD = 0.08
 # pinned seeds for the false-positive dynamics check: late one-shot junk
 # patterns occasionally fire a stray confident prediction long after the
 # interference on some seeds, identically for every variant, which would
@@ -209,7 +213,7 @@ def check_one_shot() -> CriterionResult:
     )
 
 
-def check_count_oracle(num_streams: int = 50) -> CriterionResult:
+def check_count_oracle(num_streams: int = ORACLE_STREAMS) -> CriterionResult:
     """Tree counts equal the flat-dict replay oracle on random streams."""
     params = EpstParams(history_window=16, prediction_window=12, max_spike_interval=16)
     rng = np.random.default_rng(20240811)
@@ -254,7 +258,7 @@ def _structured_runs(scenario_id: str, seeds: Sequence[int], algos: Sequence[str
 
 
 def check_structured_same(
-    seeds: Optional[Sequence[int]] = None, clean_threshold: float = 0.05
+    seeds: Optional[Sequence[int]] = None, clean_threshold: float = CLEAN_THRESHOLD
 ) -> CriterionResult:
     """Same interference pattern twice: low clean error, VMM degradation
     during interference, and re-recognition of the repeated pattern."""
@@ -544,33 +548,19 @@ def check_performance(repeats: int = 15) -> CriterionResult:
 
 
 def run_all(quick: bool = False) -> List[CriterionResult]:
-    if quick:
-        seeds = range(QUICK_SEEDS)
-        results = [
-            check_one_shot(),
-            check_count_oracle(num_streams=10),
-            check_structured_same(seeds=seeds, clean_threshold=0.08),
-            check_structured_diff(seeds=seeds),
-            check_random_noise(seeds=seeds),
-            check_jitter(seeds=seeds),
-            check_jitter_dropout(seeds=seeds),
-            check_et0_false_positives(),
-            check_xor(),
-            check_invariants(),
-            check_performance(),
-        ]
-    else:
-        results = [
-            check_one_shot(),
-            check_count_oracle(),
-            check_structured_same(),
-            check_structured_diff(),
-            check_random_noise(),
-            check_jitter(),
-            check_jitter_dropout(),
-            check_et0_false_positives(),
-            check_xor(),
-            check_invariants(),
-            check_performance(),
-        ]
-    return results
+    """Every check in order; quick mode only lowers the seed and oracle
+    stream counts and loosens the structured clean-error bar."""
+    seeds = range(QUICK_SEEDS) if quick else None
+    return [
+        check_one_shot(),
+        check_count_oracle(QUICK_ORACLE_STREAMS if quick else ORACLE_STREAMS),
+        check_structured_same(seeds, QUICK_CLEAN_THRESHOLD if quick else CLEAN_THRESHOLD),
+        check_structured_diff(seeds),
+        check_random_noise(seeds),
+        check_jitter(seeds),
+        check_jitter_dropout(seeds),
+        check_et0_false_positives(),
+        check_xor(),
+        check_invariants(),
+        check_performance(),
+    ]

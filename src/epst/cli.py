@@ -52,6 +52,9 @@ class ExperimentConfig:
     dump_tree: bool = False
     param_overrides: Dict[str, int] = dataclasses.field(default_factory=dict)
     workers: int = 1
+    # the scenario's [epst] values with param_overrides on top; built here
+    # so a bad tree parameter is a usage error before any job starts
+    params: EpstParams = dataclasses.field(init=False)
 
     def __post_init__(self):
         if self.seeds < 1:
@@ -61,11 +64,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithms: {', '.join(unknown)}")
         # more worker processes than cores only add start-up cost and memory
         self.workers = max(1, min(self.workers, os.cpu_count() or 1))
-
-    def epst_params(self) -> EpstParams:
         values = {k: int(v) for k, v in self.scenario.epst_overrides.items()}
         values.update(self.param_overrides)
-        return EpstParams(**values)
+        self.params = EpstParams(**values)
 
 
 def _run_one(config: ExperimentConfig, algo: str, seed: int):
@@ -76,7 +77,7 @@ def _run_one(config: ExperimentConfig, algo: str, seed: int):
     if algo in VMM_ALGOS:
         trace = score_vmm(run_vmm(stream, algo), mode, scenario.bin_width)
         return trace, None, None
-    run = run_epst(stream, config.epst_params(), VARIANTS[algo])
+    run = run_epst(stream, config.params, VARIANTS[algo])
     trace = score_epst(run, stream, mode, scenario.bin_width, scenario.scoring_pad)
     fp = count_false_positives(run, stream, bin_width=scenario.bin_width)
     dump = None
@@ -234,7 +235,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return USAGE_ERROR
         results = acceptance.run_all(quick=args.quick)
         if args.quick:
-            print("quick mode: 3 seeds, 10 oracle streams, clean-error bar 0.08")
+            print(
+                f"quick mode: {acceptance.QUICK_SEEDS} seeds, "
+                f"{acceptance.QUICK_ORACLE_STREAMS} oracle streams, "
+                f"clean-error bar {acceptance.QUICK_CLEAN_THRESHOLD}"
+            )
         for result in results:
             print(result.line())
         failed = sum(not r.passed for r in results)

@@ -29,13 +29,20 @@ from .events import (
     EventStream,
     LABEL_DROPPED,
     LABEL_INTERFERENCE,
-    LABEL_NOISE,
     LABEL_SIGNAL,
 )
 from .runner import EpstRunResult, VmmRunResult
 
 DEFAULT_BIN_WIDTH = 250
 TRUE_EVENT_LABELS = (LABEL_SIGNAL, LABEL_INTERFERENCE, LABEL_DROPPED)
+# the events each scoring mode scores, for the EPST scorers and the VMM
+# baselines alike
+SCORED_LABELS = {
+    "structured": (LABEL_SIGNAL, LABEL_INTERFERENCE),
+    "random_noise": (LABEL_SIGNAL,),
+    "jitter": (LABEL_SIGNAL,),
+    "jitter_dropout": (LABEL_SIGNAL, LABEL_DROPPED),
+}
 
 Cell = Tuple[int, int]  # (channel, time step)
 
@@ -146,29 +153,45 @@ def _window_probability(
     return num / den if den > 0.0 else 0.0
 
 
+def _scored_labels(mode: str) -> Tuple[str, ...]:
+    if mode not in SCORED_LABELS:
+        raise ValueError(f"unknown scoring mode {mode!r}")
+    return SCORED_LABELS[mode]
+
+
+def _scored_events(stream: EventStream, mode: str) -> List[Event]:
+    labels = _scored_labels(mode)
+    return [e for e in stream.events if e.label in labels]
+
+
 def _score_stream(
     run: EpstRunResult,
     num_channels: int,
     scored: Sequence[Event],
     masks: Set[Cell] = frozenset(),
     allowed: Optional[Set[Cell]] = None,
-    pad: int = 0,
-    t_prev_init: Optional[int] = None,
+    pad: Optional[int] = None,
+    t_prev: Optional[int] = None,
 ) -> List[Tuple[int, float]]:
-    """Per-event |1 - p| for a sequence of scored events. With pad > 0 the
+    """Per-event |1 - p| for a sequence of scored events, each summed over
+    (t_prev, t_event]. With `pad` given (jitter-aware scoring) the
     summation window is shifted to (t_prev + pad, t_event + pad], which
-    both covers jittered predictions and excludes cells consumed by the
-    previous event."""
+    covers the jitter distribution around the true time and excludes cells
+    consumed by the previous event; only the scored event's own cells (its
+    channel within +-pad of its true time) can legitimately hold this
+    window's prediction, so the normalizing sum is restricted to them."""
+    shift = pad or 0
     errors = []
-    t_prev = t_prev_init
     for e in scored:
         if t_prev is not None and t_prev < e.time:
+            if pad is not None:
+                allowed = {(e.channel, e.time + dt) for dt in range(-pad, pad + 1)}
             p = _window_probability(
                 run,
                 num_channels,
                 e.channel,
-                t_prev + pad,
-                e.time + pad,
+                t_prev + shift,
+                e.time + shift,
                 e.time,
                 masks,
                 allowed,
@@ -185,8 +208,10 @@ def score_structured(
     zeroed, and each interference burst with signal cells zeroed. Returns
     per-stream traces plus their combination."""
     span = stream.events[-1].time if stream.events else 0
-    signal = [e for e in stream.events if e.label == LABEL_SIGNAL]
-    interference = [e for e in stream.events if e.label == LABEL_INTERFERENCE]
+    signal, interference = (
+        [e for e in stream.events if e.label == label]
+        for label in SCORED_LABELS["structured"]
+    )
     signal_cells = {(e.channel, e.time) for e in signal}
     interference_cells = {(e.channel, e.time) for e in interference}
 
@@ -198,14 +223,14 @@ def score_structured(
         if burst and e.time - burst[-1].time > 100:
             int_errors.extend(
                 _score_stream(run, stream.num_channels, burst, signal_cells,
-                              t_prev_init=burst[0].time)
+                              t_prev=burst[0].time)
             )
             burst = []
         burst.append(e)
     if burst:
         int_errors.extend(
             _score_stream(run, stream.num_channels, burst, signal_cells,
-                          t_prev_init=burst[0].time)
+                          t_prev=burst[0].time)
         )
 
     return {
@@ -223,7 +248,7 @@ def score_random_noise(
     signal cells can legitimately hold predictions, so the normalizing sum
     is restricted to them."""
     span = stream.events[-1].time if stream.events else 0
-    signal = [e for e in stream.events if e.label == LABEL_SIGNAL]
+    signal = _scored_events(stream, "random_noise")
     allowed = {(e.channel, e.time) for e in signal}
     return bin_errors(
         _score_stream(run, stream.num_channels, signal, allowed=allowed),
@@ -232,46 +257,15 @@ def score_random_noise(
     )
 
 
-def _score_padded(
-    run: EpstRunResult,
-    num_channels: int,
-    scored: Sequence[Event],
-    pad: int,
-) -> List[Tuple[int, float]]:
-    """Jitter-aware scoring: the summation window (t_prev + pad,
-    t_event + pad] covers the jitter distribution around the true time and
-    excludes cells consumed by the previous event; only the scored event's
-    own cells (its channel within +-pad of its true time) can legitimately
-    hold this window's prediction, so the normalizing sum is restricted to
-    them."""
-    errors = []
-    t_prev = None
-    for e in scored:
-        if t_prev is not None and t_prev < e.time:
-            allowed = {(e.channel, e.time + dt) for dt in range(-pad, pad + 1)}
-            p = _window_probability(
-                run,
-                num_channels,
-                e.channel,
-                t_prev + pad,
-                e.time + pad,
-                e.time,
-                allowed=allowed,
-            )
-            errors.append((e.time, abs(1.0 - p)))
-        t_prev = e.time
-    return errors
-
-
 def score_dropout(
     run: EpstRunResult, stream: EventStream, bin_width: int = DEFAULT_BIN_WIDTH, pad: int = 0
 ) -> ErrorTrace:
     """Dropped events are scored as true next events (predicting them is
     rewarded) and advance t_prev."""
     span = stream.events[-1].time if stream.events else 0
-    scored = [e for e in stream.events if e.label in (LABEL_SIGNAL, LABEL_DROPPED)]
+    scored = _scored_events(stream, "jitter_dropout")
     return bin_errors(
-        _score_padded(run, stream.num_channels, scored, pad), bin_width, span
+        _score_stream(run, stream.num_channels, scored, pad=pad), bin_width, span
     )
 
 
@@ -279,9 +273,9 @@ def score_jitter(
     run: EpstRunResult, stream: EventStream, pad: int = 4, bin_width: int = DEFAULT_BIN_WIDTH
 ) -> ErrorTrace:
     span = stream.events[-1].time if stream.events else 0
-    signal = [e for e in stream.events if e.label == LABEL_SIGNAL]
+    signal = _scored_events(stream, "jitter")
     return bin_errors(
-        _score_padded(run, stream.num_channels, signal, pad), bin_width, span
+        _score_stream(run, stream.num_channels, signal, pad=pad), bin_width, span
     )
 
 
@@ -305,16 +299,7 @@ def score_vmm(
 ) -> ErrorTrace:
     """Per-event |1 - p| for the VMM baselines; a no-estimate counts as
     maximum error. The scenario rule picks which events are scored."""
-    if mode == "structured":
-        labels = (LABEL_SIGNAL, LABEL_INTERFERENCE)
-    elif mode == "random_noise":
-        labels = (LABEL_SIGNAL,)
-    elif mode == "jitter":
-        labels = (LABEL_SIGNAL,)
-    elif mode == "jitter_dropout":
-        labels = (LABEL_SIGNAL, LABEL_DROPPED)
-    else:
-        raise ValueError(f"unknown scoring mode {mode!r}")
+    labels = _scored_labels(mode)
     span = run.events[-1].time if run.events else 0
     samples = []
     for e, p in zip(run.events, run.probabilities):

@@ -9,9 +9,11 @@ non-decreasing delays; two simultaneous items are ordered by channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 LABEL_SIGNAL = "signal"
 LABEL_INTERFERENCE = "interference"
@@ -67,9 +69,20 @@ class EventStream:
     def __len__(self):
         return len(self.events)
 
+    @cached_property
+    def _visible_index(self) -> Tuple[Tuple[Event, ...], Tuple[int, ...]]:
+        visible = tuple(e for e in self.events if e.label != LABEL_DROPPED)
+        return visible, tuple(e.time for e in visible)
+
     def visible(self) -> Tuple[Event, ...]:
-        """Events the algorithms are allowed to see (drops hidden)."""
-        return tuple(e for e in self.events if e.label != LABEL_DROPPED)
+        """Events the algorithms are allowed to see (drops hidden), in time
+        order. Built once, on first use."""
+        return self._visible_index[0]
+
+    def visible_between(self, lo: int, hi: int) -> Tuple[Event, ...]:
+        """Visible events with lo <= time < hi, in stream order."""
+        visible, times = self._visible_index
+        return visible[bisect.bisect_left(times, lo):bisect.bisect_left(times, hi)]
 
     def shifted(self, delta: int) -> "EventStream":
         if delta < 0:
@@ -138,16 +151,8 @@ def window_of(stream: EventStream, t: int, m: int) -> HistoryWindow:
     dropped events excluded."""
     if t < 0:
         raise ValueError("reference time must be >= 0")
-    entries = {
-        (t - e.time, e.channel)
-        for e in stream.events
-        if t - m <= e.time < t and e.label != LABEL_DROPPED
-    }
+    entries = {(t - e.time, e.channel) for e in stream.visible_between(t - m, t)}
     return HistoryWindow(frozenset(entries), m)
-
-
-def window_from_items(items: Iterable[Item], m: int) -> HistoryWindow:
-    return HistoryWindow(frozenset(items), m)
 
 
 def enumerate_subsequences(

@@ -11,17 +11,18 @@ either by threshold or uniformly at random.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 import numpy as np
 
-from .events import HistoryWindow, Subsequence, enumerate_subsequences
+from .events import HistoryWindow, enumerate_subsequences
 from .infer import entropy
 from .tree import EpstTree, InhibitoryRecord, TreeNode
 
 FALSE_POSITIVE_THRESHOLD = 0.5
-DEFAULT_JOINT_THRESHOLD = 3
-DEFAULT_FN_THRESHOLD = 3
+# an inhibitory pattern survives this many false negatives; the next one
+# destroys it
+FALSE_NEGATIVE_LIMIT = 3
 
 
 @dataclass(frozen=True)
@@ -85,26 +86,18 @@ def _drop_inhibitory(tree: EpstTree, node: TreeNode) -> None:
 
 
 def inhibitory_maintenance(
-    tree: EpstTree,
-    g_spike_occurred: bool,
-    matched_inhibitory: Iterable[TreeNode],
-    joint_threshold: int = DEFAULT_JOINT_THRESHOLD,
-    fn_threshold: int = DEFAULT_FN_THRESHOLD,
+    tree: EpstTree, matched_inhibitory: Iterable[TreeNode]
 ) -> List[TreeNode]:
-    """After a prediction-vs-outcome comparison: matched inhibitory patterns
-    that coincided with an actual g spike caused false negatives; count them
-    and destroy records that exceed either threshold. Returns the nodes
-    removed."""
+    """Called on an actual g spike with the inhibitory patterns matched for
+    it: each caused a false negative; count them and destroy records past
+    FALSE_NEGATIVE_LIMIT. Returns the nodes removed."""
     removed = []
-    if not g_spike_occurred:
-        return removed
     for node in matched_inhibitory:
         rec = node.inhibitory
         if rec is None:
             continue
-        rec.joint_count += 1
         rec.false_negative_count += 1
-        if rec.joint_count > joint_threshold or rec.false_negative_count > fn_threshold:
+        if rec.false_negative_count > FALSE_NEGATIVE_LIMIT:
             removed.append(node)
             _drop_inhibitory(tree, node)
     return removed

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .events import Event, EventStream, Subsequence
+from .events import EventStream, Subsequence
 from .tree import EpstTree, TreeNode
 
 
@@ -89,20 +89,6 @@ def candidate_from_node(node: TreeNode) -> Candidate:
 def select_representative(candidates: Iterable[Candidate]) -> Optional[Candidate]:
     best = None
     for cand in candidates:
-        if best is None or cand.rank_key() < best.rank_key():
-            best = cand
-    return best
-
-
-def early_stop_select(
-    candidates: Iterable[Candidate], entropy_threshold: float
-) -> Optional[Candidate]:
-    """First candidate at or below the entropy threshold, else the full-scan
-    representative."""
-    best = None
-    for cand in candidates:
-        if cand.entropy <= entropy_threshold:
-            return cand
         if best is None or cand.rank_key() < best.rank_key():
             best = cand
     return best
@@ -182,9 +168,13 @@ def _step_masks(tree: EpstTree, events: Sequence[Tuple[int, int]], t: int):
     return results
 
 
-def _predict_from_events(
+def predict_from_context(
     trees: Sequence[EpstTree], events: Sequence[Tuple[int, int]], t: int
 ) -> PredictionMatrix:
+    """Spike-triggered prediction at time t from an explicit (time, channel)
+    context: for each tree and each step n in 0..M', the window at t + n is
+    matched against the stored patterns and the representative's
+    probability is written to the cell (0 when nothing matches)."""
     steps = max(tree.params.prediction_window for tree in trees)
     matrix = PredictionMatrix(trigger_time=t, steps=steps)
     for tree in trees:
@@ -225,27 +215,14 @@ def _predict_from_events(
 def context_events(stream: EventStream, t: int, m: int) -> List[Tuple[int, int]]:
     """Visible events usable by a prediction triggered at t: times in
     [t - M, t], dropped events excluded."""
-    return [
-        (e.time, e.channel)
-        for e in stream.events
-        if t - m <= e.time <= t and e.label != "dropped"
-    ]
+    return [(e.time, e.channel) for e in stream.visible_between(t - m, t + 1)]
 
 
 def predict_window(trees: Sequence[EpstTree], stream: EventStream, t: int) -> PredictionMatrix:
-    """Spike-triggered prediction at time t using only events at or before
-    t. For each tree and each step n in 0..M', the window at t + n is
-    matched against the stored patterns and the representative's
-    probability is written to the cell (0 when nothing matches)."""
+    """predict_from_context on the stream's context at t: only events at or
+    before t are used."""
     m = max(tree.params.history_window for tree in trees)
-    return _predict_from_events(trees, context_events(stream, t, m), t)
-
-
-def predict_from_context(
-    trees: Sequence[EpstTree], events: Sequence[Tuple[int, int]], t: int
-) -> PredictionMatrix:
-    """predict_window on an explicit (time, channel) context list."""
-    return _predict_from_events(trees, events, t)
+    return predict_from_context(trees, context_events(stream, t, m), t)
 
 
 def sampled_predict(
@@ -265,13 +242,13 @@ def sampled_predict(
     events = context_events(stream, t, m)
     if sample_size >= len(events):
         # every repeat would predict on the same full context
-        return _predict_from_events(trees, events, t)
+        return predict_from_context(trees, events, t)
     rng = np.random.default_rng(seed)
     agg: Optional[PredictionMatrix] = None
     for _ in range(repeats):
         idx = rng.choice(len(events), size=sample_size, replace=False)
         subset = [events[i] for i in sorted(idx)]
-        matrix = _predict_from_events(trees, subset, t)
+        matrix = predict_from_context(trees, subset, t)
         if agg is None:
             agg = matrix
             continue

@@ -8,10 +8,10 @@ prediction triggered by the next event.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
-from .events import Event, EventStream, HistoryWindow, LABEL_DROPPED
+from .events import Event, EventStream, LABEL_DROPPED, window_of
 from .extensions import (
     FALSE_POSITIVE_THRESHOLD,
     Variant,
@@ -20,9 +20,9 @@ from .extensions import (
     prune_entropy,
     record_false_positive,
 )
-from .infer import PredictionMatrix, predict_from_context, sampled_predict
+from .infer import PredictionMatrix, context_events, predict_from_context, sampled_predict
 from .tree import EpstParams, EpstTree
-from .vmm import VmmModel, symbolize
+from .vmm import VmmModel
 
 PRUNE_INTERVAL_EVENTS = 500
 
@@ -91,24 +91,12 @@ def run_epst(
 ) -> EpstRunResult:
     if not 0.0 < fp_threshold <= 1.0:
         raise ValueError("fp_threshold must be in (0, 1]")
-    C = stream.num_channels
-    trees = [EpstTree(g, params) for g in range(C)]
-    visible = [e for e in stream.events if e.label != LABEL_DROPPED]
-    vis_times = [e.time for e in visible]
+    m = params.history_window
+    trees = [EpstTree(g, params) for g in range(stream.num_channels)]
+    visible = stream.visible()
     vis_cells = {(e.channel, e.time) for e in visible}
 
     result = EpstRunResult([], [], trees, params, variant)
-
-    def window_at(t: int) -> HistoryWindow:
-        lo = bisect.bisect_left(vis_times, t - params.history_window)
-        hi = bisect.bisect_left(vis_times, t)
-        entries = {(t - e.time, e.channel) for e in visible[lo:hi]}
-        return HistoryWindow(frozenset(entries), params.history_window)
-
-    def context_at(t: int) -> List[Tuple[int, int]]:
-        lo = bisect.bisect_left(vis_times, t - params.history_window)
-        hi = bisect.bisect_right(vis_times, t)
-        return [(e.time, e.channel) for e in visible[lo:hi]]
 
     def resolve_false_positives(step_lo: int, step_hi: int):
         """Check every step in (step_lo, step_hi] for confident predictions
@@ -120,7 +108,7 @@ def run_epst(
             if p < fp_threshold or (g, step) in vis_cells:
                 continue
             if step != window_step:
-                window_step, window = step, window_at(step)
+                window_step, window = step, window_of(stream, step, m)
             record_false_positive(trees[g], window)
 
     # iterate events grouped by time
@@ -152,17 +140,15 @@ def run_epst(
                     if mask >> n & 1
                 ]
                 if hits:
-                    inhibitory_maintenance(trees[e.channel], True, hits)
+                    inhibitory_maintenance(trees[e.channel], hits)
         last_resolved = t
 
-        window = window_at(t)
+        window = window_of(stream, t, m)
         for e in evs:
             for tree in trees:
                 tree.step1_denominators(e, window)
         for e in sorted(evs, key=lambda e: e.channel):
             trees[e.channel].step2_numerators_and_extend(window)
-        for tree in trees:
-            tree.observe_time(t)
         received += len(evs)
 
         if variant.pruning:
@@ -172,7 +158,7 @@ def run_epst(
                 next_prune += PRUNE_INTERVAL_EVENTS
 
         if sampling is None:
-            matrix = predict_from_context(trees, context_at(t), t)
+            matrix = predict_from_context(trees, context_events(stream, t, m), t)
         else:
             matrix = sampled_predict(
                 trees,

@@ -12,7 +12,7 @@ preferred channel) accumulates numerators n(s and g) and grows the tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .events import Event, HistoryWindow, Item, Subsequence, canonical_items
@@ -42,16 +42,17 @@ class EpstParams:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.min_subseq_len < 1:
+            raise ValueError("min_subseq_len must be >= 1")
         if self.min_subseq_len > self.max_subseq_len:
             raise ValueError("min_subseq_len must be <= max_subseq_len")
 
 
 @dataclass
 class InhibitoryRecord:
-    """Explicit inhibitory pattern bookkeeping: joint occurrences with g
-    seen since creation, and the false negatives it caused."""
+    """Explicit inhibitory pattern bookkeeping: the false negatives it
+    caused since creation (matches that coincided with a spike in g)."""
 
-    joint_count: int = 0
     false_negative_count: int = 0
 
 
@@ -121,7 +122,6 @@ class EpstTree:
         self.params = params
         self.root = TreeNode(None, None)
         self.root_count = 0          # n(g): spikes seen in the preferred channel
-        self.elapsed_time = 0        # total simulation time observed
         self.node_count = 0
 
     # -- structure helpers -------------------------------------------------
@@ -147,9 +147,6 @@ class EpstTree:
             node = stack.pop()
             yield node
             stack.extend(node.children[k] for k in sorted(node.children, reverse=True))
-
-    def observe_time(self, t: int) -> None:
-        self.elapsed_time = max(self.elapsed_time, t)
 
     # -- learning ----------------------------------------------------------
 
@@ -188,7 +185,7 @@ class EpstTree:
         # Window entries always enter as level-1 nodes; deeper growth is
         # gated by the extension threshold.
         for entry in entries:
-            if entry[0] > p.max_spike_interval or p.max_subseq_len < 1:
+            if entry[0] > p.max_spike_interval:
                 continue
             child = self.root.children.get(entry)
             if child is None:
@@ -226,29 +223,6 @@ class EpstTree:
         _match_below(self.root, 0, entries, self.params.matching_interval, set(), matched)
         return sorted(matched, key=lambda n: n.subsequence().sort_key())
 
-    def matching_nodes(self, window: HistoryWindow) -> List[Tuple[TreeNode, Subsequence]]:
-        """Excitatory nodes usable for prediction: path matches the window,
-        length >= min_subseq_len, denominator >= frequency_threshold (and
-        at least 1 so a probability is defined)."""
-        p = self.params
-        out = []
-        for node in self.match_nodes_raw(window):
-            if node.is_inhibitory:
-                continue
-            if node.depth < p.min_subseq_len:
-                continue
-            if node.denominator < max(p.frequency_threshold, 1):
-                continue
-            out.append((node, node.subsequence()))
-        return out
-
-    def matching_inhibitory(self, window: HistoryWindow) -> List[Tuple[TreeNode, Subsequence]]:
-        return [
-            (node, node.subsequence())
-            for node in self.match_nodes_raw(window)
-            if node.is_inhibitory
-        ]
-
     # -- serialization -----------------------------------------------------
 
     def dump(self) -> str:
@@ -270,10 +244,6 @@ class EpstTree:
 
         walk(self.root, 1)
         return "\n".join(lines) + "\n"
-
-
-def new_tree(g: int, params: EpstParams) -> EpstTree:
-    return EpstTree(g, params)
 
 
 def _count_subtree(node: TreeNode) -> int:

@@ -10,12 +10,11 @@ declining is scored as maximum error by the harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .events import EventStream, LABEL_DROPPED
+from .events import EventStream
 
 PST_SMOOTHING_DENOM_FACTOR = 2  # gamma = 1 / (2C)
 
@@ -23,8 +22,7 @@ PST_SMOOTHING_DENOM_FACTOR = 2  # gamma = 1 / (2C)
 def symbolize(stream: EventStream) -> List[int]:
     """Channel ids in event-time order; simultaneous events ordered by
     ascending channel; dropped events excluded."""
-    events = [e for e in stream.events if e.label != LABEL_DROPPED]
-    events.sort(key=lambda e: (e.time, e.channel))
+    events = sorted(stream.visible(), key=lambda e: (e.time, e.channel))
     return [e.channel for e in events]
 
 
@@ -93,11 +91,3 @@ class VmmModel:
             return out / out.sum()
         return None
 
-
-def vmm_update(model: VmmModel, symbol: int) -> VmmModel:
-    model.update(symbol)
-    return model
-
-
-def vmm_predict(model: VmmModel, context: Optional[List[int]] = None):
-    return model.predict(context)

@@ -165,6 +165,28 @@ def test_main_usage_errors(tmp_path, tiny_cfg):
     )
 
 
+@pytest.mark.parametrize(
+    "name, extra",
+    [
+        ("min_subseq_len", ["--epst.min_subseq_len", "5"]),
+        ("history_windw", ["--config", "[epst]\nhistory_windw = 16\n"]),
+    ],
+)
+def test_main_bad_tree_parameter_is_usage_error(tmp_path, tiny_cfg, capsys, name, extra):
+    if extra[0] == "--config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(extra[1])
+        extra = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    code = run_main(
+        ["run", "--scenario-file", tiny_cfg, "--algos", "epst", "--seeds", "1",
+         "--out", str(out), "--workers", "2"] + extra
+    )
+    assert code == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()  # no job ran
+
+
 def test_main_param_override_changes_output(tmp_path, tiny_cfg):
     base, wide = {}, {}
     for label, extra in (("base", []), ("wide", ["--epst.matching_interval=3"])):

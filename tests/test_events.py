@@ -4,7 +4,7 @@ matching, each checked against small independent oracles."""
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from epst.events import (
     Event,
@@ -18,6 +18,7 @@ from epst.events import (
     window_of,
     write_stream,
 )
+from epst.infer import context_events
 
 
 def make_stream(pairs, num_channels=8):
@@ -51,17 +52,37 @@ def test_window_excludes_dropped():
     assert window_of(stream, 10, 10).entries == {(8, 1), (2, 3)}
 
 
+def context_oracle(stream, t, m):
+    """Brute force: every visible event with t - m <= time <= t, as
+    (time, channel), in stream order, duplicates kept."""
+    return [
+        (e.time, e.channel)
+        for e in stream.events
+        if t - m <= e.time <= t and e.label != "dropped"
+    ]
+
+
 @given(
     st.lists(
-        st.tuples(st.integers(0, 60), st.integers(0, 4)), min_size=0, max_size=20
+        st.tuples(
+            st.integers(0, 60),
+            st.integers(0, 4),
+            st.sampled_from(("signal", "noise", "dropped")),
+        ),
+        min_size=0,
+        max_size=20,
     ),
+    st.integers(0, 5),
     st.integers(0, 70),
-    st.integers(1, 40),
+    st.integers(0, 40),
 )
-def test_window_matches_oracle(pairs, t, m):
-    pairs.sort()
-    stream = make_stream(pairs, 5)
+@example([(3, 1, "signal"), (5, 2, "dropped"), (8, 1, "noise")], 2, 8, 5)
+def test_window_matches_oracle(triples, duplicates, t, m):
+    # repeat some events so the stream holds duplicate (time, channel) pairs
+    triples = sorted(triples + triples[:duplicates], key=lambda tr: tr[0])
+    stream = EventStream(tuple(Event(*tr) for tr in triples), 5)
     assert window_of(stream, t, m).entries == window_oracle(stream, t, m)
+    assert context_events(stream, t, m) == context_oracle(stream, t, m)
 
 
 @given(

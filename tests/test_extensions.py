@@ -84,24 +84,15 @@ def test_maintenance_destroys_after_threshold():
     tree = trained_xor_tree()
     record_false_positive(tree, HistoryWindow(frozenset({(10, 1), (10, 2)}), 32))
     pair = tree.root.children[(10, 1)].children[(10, 2)]
-    # three coincidences tolerated, the fourth crosses both thresholds
+    # three false negatives tolerated, the fourth crosses the limit
     for _ in range(3):
-        assert inhibitory_maintenance(tree, True, [pair]) == []
+        assert inhibitory_maintenance(tree, [pair]) == []
         assert pair.is_inhibitory
-    removed = inhibitory_maintenance(tree, True, [pair])
+    removed = inhibitory_maintenance(tree, [pair])
     assert removed == [pair]
     # the bare inhibitory node is gone; its excitatory parent survives
     assert (10, 2) not in tree.root.children[(10, 1)].children
     assert tree.root.children[(10, 1)].numerator == 1
-
-
-def test_maintenance_noop_without_g_spike():
-    tree = trained_xor_tree()
-    record_false_positive(tree, HistoryWindow(frozenset({(10, 1), (10, 2)}), 32))
-    pair = tree.root.children[(10, 1)].children[(10, 2)]
-    for _ in range(10):
-        assert inhibitory_maintenance(tree, False, [pair]) == []
-    assert pair.is_inhibitory
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from epst.infer import (
     UndefinedCandidateError,
     candidate_from_node,
     context_events,
-    early_stop_select,
     entropy,
     estimate_probability,
     predict_from_context,
@@ -91,16 +90,6 @@ def test_select_tie_breaks():
     strong = cand(((4, 1),), 9, 9)
     assert select_representative([weak, strong]) is strong
     assert select_representative([]) is None
-
-
-def test_early_stop_select():
-    a = cand(((3, 0),), 1, 2)
-    b = cand(((5, 1),), 3, 4)
-    c = cand(((7, 2),), 5, 5)
-    # threshold below everything: falls back to the true best
-    assert early_stop_select([a, b, c], 0.0) is c
-    # b is the first one at or below h(0.75)
-    assert early_stop_select([a, b, c], 0.6) is b
 
 
 # ---------------------------------------------------------------------------

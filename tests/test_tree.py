@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epst.events import Event, EventStream, window_of
-from epst.tree import EpstParams, EpstTree, new_tree
+from epst.tree import EpstParams, EpstTree
 
 Items = Tuple[Tuple[int, int], ...]
 
@@ -80,7 +80,7 @@ def replay_oracle(stream: EventStream, p: EpstParams, g: int) -> Dict[Items, Tup
 
 def learn(stream: EventStream, params: EpstParams, channels=None) -> List[EpstTree]:
     cs = range(stream.num_channels) if channels is None else channels
-    trees = [new_tree(g, params) for g in cs]
+    trees = [EpstTree(g, params) for g in cs]
     groups: Dict[int, List[Event]] = {}
     for e in stream.visible():
         groups.setdefault(e.time, []).append(e)
@@ -274,5 +274,8 @@ def test_params_validation():
         EpstParams(history_window=-1)
     with pytest.raises(ValueError):
         EpstParams(min_subseq_len=4, max_subseq_len=2)
+    # a zero-length pattern has no subsequence to store
+    with pytest.raises(ValueError, match="min_subseq_len"):
+        EpstParams(min_subseq_len=0)
     with pytest.raises(ValueError):
         EpstTree(-1, EpstParams())

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from epst.events import Event, EventStream
 from epst.runner import run_vmm
-from epst.vmm import VmmModel, symbolize, vmm_predict, vmm_update
+from epst.vmm import VmmModel, symbolize
 
 
 def test_symbolize_orders_and_hides_drops():
@@ -27,7 +27,7 @@ def test_context_counts_hand_worked():
     # "banana"-style feed over symbols b=0, a=1, n=2
     model = VmmModel("ppmc", 3, max_order=2)
     for s in [0, 1, 2, 1, 2, 1]:
-        vmm_update(model, s)
+        model.update(s)
     assert model.counts[()] == {0: 1, 1: 3, 2: 2}
     assert model.counts[(0,)] == {1: 1}
     assert model.counts[(1,)] == {2: 2}
@@ -76,8 +76,8 @@ def test_explicit_context_argument():
     model = VmmModel("ppmc", 3, max_order=1)
     for s in [0, 1, 0, 1]:
         model.update(s)
-    assert np.allclose(vmm_predict(model, [1]), model.predict())
-    assert not np.allclose(vmm_predict(model, [0]), model.predict())
+    assert np.allclose(model.predict([1]), model.predict())
+    assert not np.allclose(model.predict([0]), model.predict())
 
 
 def test_unknown_kind_rejected():
