@@ -162,7 +162,7 @@ def _parse_overrides(extras: Sequence[str]) -> Dict[str, int]:
             raise ValueError(f"unknown tree parameter: {name}")
         if value is None:
             raise ValueError(f"missing value for --epst.{name}")
-        overrides[name] = int(value)
+        overrides[name] = _tree_int(value, f"--epst.{name}")
         i += 1
     return overrides
 
@@ -187,8 +187,19 @@ def _config_from_file(path: str) -> Dict[str, object]:
         if "dump_tree" in run:
             out["dump_tree"] = run.getboolean("dump_tree")
     if cp.has_section("epst"):
-        out["overrides"] = {k: int(v) for k, v in cp["epst"].items()}
+        out["overrides"] = {
+            k: _tree_int(v, f"{path}: [epst] {k}") for k, v in cp["epst"].items()
+        }
     return out
+
+
+def _tree_int(value: str, where: str) -> int:
+    """A tree parameter's integer value; `where` names the flag or the
+    config file entry it came from."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{where}: expected an integer, got {value!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

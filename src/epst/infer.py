@@ -133,38 +133,73 @@ class PredictionMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _step_masks(tree: EpstTree, events: Sequence[Tuple[int, int]], t: int):
-    """Map every matching node to a bitmask of steps n where its full
-    path-subsequence matches the window at t + n (events limited to <= t)."""
-    p = tree.params
-    m, mp, tol = p.history_window, p.prediction_window, p.matching_interval
-    full_mask = (1 << (mp + 1)) - 1
-    by_channel: Dict[int, List[Tuple[int, int]]] = {}
-    for k, (time_k, c_k) in enumerate(events):
-        by_channel.setdefault(c_k, []).append((t - time_k, k))
+EventTable = Dict[int, List[Tuple[int, int, int, int, int]]]
 
+
+def _event_table(
+    events: Sequence[Tuple[int, int]], t: int, m: int, mp: int, tol: int
+) -> EventTable:
+    """The context at t grouped by channel, in event order. Each event with
+    age a = t - t_k becomes (bit, a + tol, a - tol, floor, cap): its bit in
+    the walk's used-event mask, and the bounds of the steps n at which it
+    can match an item with cumulative delay d, which are
+    max(d - (a + tol), floor) <= n <= min(d - (a - tol), cap), where floor =
+    max(1 - a, 0) keeps the event inside the window at t + n and cap =
+    min(M - a, M') keeps it in the window and in the horizon."""
+    table: EventTable = {}
+    for k, (time_k, c_k) in enumerate(events):
+        age = t - time_k
+        table.setdefault(c_k, []).append(
+            (1 << k, age + tol, age - tol, max(1 - age, 0), min(m - age, mp))
+        )
+    return table
+
+
+def _step_masks(tree: EpstTree, table: EventTable) -> Dict[TreeNode, int]:
+    """Map every candidate node (inhibitory, or at least min_subseq_len deep
+    with a denominator of at least max(frequency_threshold, 1)) to a bitmask
+    of the steps n where its full path-subsequence matches the window at
+    t + n; `table` is the context's _event_table for this tree's M, M' and
+    tol. Nodes are recorded in the order the walk first reaches them. A
+    child that is neither a candidate nor has children of its own is not
+    matched at all, and a matched leaf is not descended into."""
+    p = tree.params
+    min_len, min_den = p.min_subseq_len, max(p.frequency_threshold, 1)
     results: Dict[TreeNode, int] = {}
 
-    def walk(node: TreeNode, mask: int, used: set):
-        for c, occurrences in by_channel.items():
-            for child in node.by_channel.get(c, ()):
-                d = child.item[0]
-                for age, k in occurrences:
-                    if k in used:
+    def walk(node: TreeNode, mask: int, used: int):
+        for c, occurrences in table.items():
+            children = node.by_channel.get(c)
+            if children is None:
+                continue
+            for child in children:
+                keep = child.inhibitory is not None or (
+                    child.depth >= min_len and child.denominator >= min_den
+                )
+                deeper = child.by_channel
+                if not (keep or deeper):
+                    continue
+                d = child.cum_delay
+                for bit, near, far, floor, cap in occurrences:
+                    if used & bit:
                         continue
-                    lo = max(d - age - tol, 1 - age, 0)
-                    hi = min(d - age + tol, m - age, mp)
+                    lo = d - near
+                    if lo < floor:
+                        lo = floor
+                    hi = d - far
+                    if hi > cap:
+                        hi = cap
                     if lo > hi:
                         continue
                     seg = mask & (((1 << (hi - lo + 1)) - 1) << lo)
                     if not seg:
                         continue
-                    results[child] = results.get(child, 0) | seg
-                    used.add(k)
-                    walk(child, seg, used)
-                    used.discard(k)
+                    if keep:
+                        results[child] = results.get(child, 0) | seg
+                    if deeper:
+                        walk(child, seg, used | bit)
 
-    walk(tree.root, full_mask, set())
+    walk(tree.root, (1 << (p.prediction_window + 1)) - 1, 0)
     return results
 
 
@@ -174,24 +209,24 @@ def predict_from_context(
     """Spike-triggered prediction at time t from an explicit (time, channel)
     context: for each tree and each step n in 0..M', the window at t + n is
     matched against the stored patterns and the representative's
-    probability is written to the cell (0 when nothing matches)."""
+    probability is written to the cell (0 when nothing matches). Trees
+    with the same M, M' and tol share one event table."""
     steps = max(tree.params.prediction_window for tree in trees)
     matrix = PredictionMatrix(trigger_time=t, steps=steps)
+    tables: Dict[Tuple[int, int, int], EventTable] = {}
     for tree in trees:
         p = tree.params
         mp = p.prediction_window
+        key = (p.history_window, mp, p.matching_interval)
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _event_table(events, t, *key)
         row = [0.0] * (steps + 1)
-        node_masks = _step_masks(tree, events, t)
-        min_den = max(p.frequency_threshold, 1)
         scored: List[Tuple[Candidate, int]] = []
         inhib: List[Tuple[TreeNode, int]] = []
-        for node, mask in node_masks.items():
+        for node, mask in _step_masks(tree, table).items():
             if node.is_inhibitory:
                 inhib.append((node, mask))
-                scored.append((candidate_from_node(node), mask))
-                continue
-            if node.depth < p.min_subseq_len or node.denominator < min_den:
-                continue
             scored.append((candidate_from_node(node), mask))
         scored.sort(key=lambda cm: cm[0].rank_key())
         remaining = (1 << (mp + 1)) - 1

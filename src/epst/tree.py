@@ -67,9 +67,12 @@ class TreeNode:
         "by_channel",
         "parent",
         "inhibitory",
+        "_subsequence",
     )
 
     def __init__(self, item: Optional[Item], parent: Optional["TreeNode"]):
+        # item and parent are set here only, so the path from the root, and
+        # the Subsequence kept by subsequence(), never change
         self.item = item                      # (cumulative delay, channel); None at root
         self.parent = parent
         self.cum_delay = 0 if item is None else item[0]
@@ -81,6 +84,7 @@ class TreeNode:
         # children on a channel present in the window
         self.by_channel: Dict[int, List["TreeNode"]] = {}
         self.inhibitory: Optional[InhibitoryRecord] = None
+        self._subsequence: Optional[Subsequence] = None
 
     def attach(self, child: "TreeNode") -> None:
         self.children[child.item] = child
@@ -104,12 +108,16 @@ class TreeNode:
         return (self.cum_delay - parent_cum, self.item[1])
 
     def subsequence(self) -> Subsequence:
-        items = []
-        node = self
-        while node.item is not None:
-            items.append(node.item)
-            node = node.parent
-        return Subsequence(canonical_items(items))
+        """The path from the root as a Subsequence; built on first use and
+        kept on the node."""
+        if self._subsequence is None:
+            items = []
+            node = self
+            while node.item is not None:
+                items.append(node.item)
+                node = node.parent
+            self._subsequence = Subsequence(canonical_items(items))
+        return self._subsequence
 
 
 class EpstTree:
@@ -157,9 +165,7 @@ class EpstTree:
         window; the active root itself is incremented unconditionally."""
         tol = self.params.matching_interval
         entries = window.sorted_entries()
-        for item, level1 in self.root.children.items():
-            if item[1] != event.channel:
-                continue
+        for level1 in self.root.by_channel.get(event.channel, ()):
             if not level1.is_inhibitory:
                 level1.denominator += 1
             matched = set()
@@ -255,7 +261,8 @@ def _count_subtree(node: TreeNode) -> int:
 
 def _match_below(node, base_delay, entries, tol, used, matched):
     """Mark every descendant of `node` whose path below `node` (delays taken
-    relative to `base_delay`) has an injective window assignment."""
+    relative to `base_delay`) has an injective window assignment. A matched
+    leaf is marked but not descended into."""
     for j, (wd, wc) in enumerate(entries):
         if j in used:
             continue
@@ -263,6 +270,7 @@ def _match_below(node, base_delay, entries, tol, used, matched):
             if abs(wd - (child.cum_delay - base_delay)) > tol:
                 continue
             matched.add(child)
-            used.add(j)
-            _match_below(child, base_delay, entries, tol, used, matched)
-            used.discard(j)
+            if child.by_channel:
+                used.add(j)
+                _match_below(child, base_delay, entries, tol, used, matched)
+                used.discard(j)

@@ -1,11 +1,13 @@
 """Order-based baselines: PPM-C and a PST-style predictor.
 
-Both operate on the symbolized event stream (channel ids in event-time
-order). PPM-C blends context statistics from the longest matched context
-down to an order -1 uniform using escape method C (no exclusion). The PST
-baseline answers only from the longest matched context and declines to
-estimate when that context was seen fewer than `min_frequency` times;
-declining is scored as maximum error by the harness.
+Both see the stream as a sequence of channel ids in event-time order,
+simultaneous events by ascending channel, with dropped events left out;
+`runner.run_vmm` feeds them. PPM-C blends context statistics from the
+longest matched context down to an order -1 uniform using escape method C
+(no exclusion). The PST baseline answers only from the longest matched
+context and declines to estimate when that context was seen fewer than
+`min_frequency` times; declining is scored as maximum error by the
+harness.
 """
 
 from __future__ import annotations
@@ -14,16 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .events import EventStream
-
 PST_SMOOTHING_DENOM_FACTOR = 2  # gamma = 1 / (2C)
-
-
-def symbolize(stream: EventStream) -> List[int]:
-    """Channel ids in event-time order; simultaneous events ordered by
-    ascending channel; dropped events excluded."""
-    events = sorted(stream.visible(), key=lambda e: (e.time, e.channel))
-    return [e.channel for e in events]
 
 
 class VmmModel:

@@ -187,6 +187,25 @@ def test_main_bad_tree_parameter_is_usage_error(tmp_path, tiny_cfg, capsys, name
     assert not out.exists()  # no job ran
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_main_non_integer_tree_parameter_is_usage_error(tmp_path, tiny_cfg, capsys, source):
+    cfg = tmp_path / "run.cfg"
+    if source == "flag":
+        extra, where = ["--epst.history_window", "abc"], "--epst.history_window"
+    else:
+        cfg.write_text("[epst]\nhistory_window = abc\n")
+        extra, where = ["--config", str(cfg)], str(cfg)
+    out = tmp_path / "out"
+    code = run_main(
+        ["run", "--scenario-file", tiny_cfg, "--algos", "epst", "--seeds", "1",
+         "--out", str(out)] + extra
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "history_window" in err and where in err and "'abc'" in err
+    assert not out.exists()  # no job ran
+
+
 def test_main_param_override_changes_output(tmp_path, tiny_cfg):
     base, wide = {}, {}
     for label, extra in (("base", []), ("wide", ["--epst.matching_interval=3"])):

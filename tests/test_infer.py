@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epst.events import Event, EventStream, HistoryWindow, subsequence_matches
+from epst.events import Event, EventStream, HistoryWindow, subsequence_matches, window_of
+from epst.extensions import record_false_positive
 from epst.infer import (
     Candidate,
     UndefinedCandidateError,
@@ -98,11 +99,16 @@ def test_select_tie_breaks():
 
 def naive_matrix(trees, events, t):
     """Rebuild the window at t + n for every step independently and pick the
-    representative by rank among matching eligible patterns."""
-    out = {}
+    representative by rank among matching eligible patterns. Returns the
+    estimate rows and the representative of every nonzero cell, as
+    `predict_from_context` reports them, and for each tree the per-step
+    match mask of every inhibitory pattern that matches at some step."""
+    estimates, chosen, inhibitory = {}, {}, {}
+    steps = max(tree.params.prediction_window for tree in trees)
     for tree in trees:
         p = tree.params
-        row = []
+        row = [0.0] * (steps + 1)
+        masks = {}
         for n in range(p.prediction_window + 1):
             entries = frozenset(
                 (t + n - time, c)
@@ -121,12 +127,31 @@ def naive_matrix(trees, events, t):
                     node.subsequence(), window, p.matching_interval
                 ):
                     continue
+                if node.is_inhibitory:
+                    masks[node] = masks.get(node, 0) | 1 << n
                 c = candidate_from_node(node)
                 if best is None or c.rank_key() < best.rank_key():
                     best = c
-            row.append(0.0 if best is None else best.probability)
-        out[tree.g] = row
-    return out
+            if best is not None:
+                row[n] = best.probability
+                if best.probability > 0.0:
+                    chosen[(tree.g, n)] = best
+        estimates[tree.g] = row
+        if masks:
+            inhibitory[tree.g] = masks
+    return estimates, chosen, inhibitory
+
+
+def assert_matches_oracle(trees, events, t):
+    matrix = predict_from_context(trees, events, t)
+    estimates, chosen, inhibitory = naive_matrix(trees, events, t)
+    assert matrix.estimates == estimates
+    assert matrix.chosen == chosen
+    hits = {g: dict(pairs) for g, pairs in matrix.inhibitory_hits.items()}
+    assert hits == inhibitory
+    # each matched inhibitory node is reported once
+    assert all(len(hits[g]) == len(pairs) for g, pairs in matrix.inhibitory_hits.items())
+    return matrix
 
 
 @pytest.mark.parametrize("seed,tol", [(5, 0), (6, 0), (7, 2), (8, 2)])
@@ -140,9 +165,7 @@ def test_prediction_matches_naive_oracle(seed, tol):
     stream = stream_from(random_pairs(seed, 80, 4), 4)
     trees = learn(stream, p)
     for t in (stream.events[40].time, stream.events[60].time, stream.events[-1].time):
-        events = context_events(stream, t, p.history_window)
-        matrix = predict_from_context(trees, events, t)
-        assert matrix.estimates == naive_matrix(trees, events, t)
+        assert_matches_oracle(trees, context_events(stream, t, p.history_window), t)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -158,9 +181,53 @@ def test_prediction_matches_naive_oracle_property(seed):
     stream = stream_from(random_pairs(seed, 40, 3), 3)
     trees = learn(stream, p)
     t = stream.events[30].time
-    events = context_events(stream, t, p.history_window)
-    matrix = predict_from_context(trees, events, t)
-    assert matrix.estimates == naive_matrix(trees, events, t)
+    assert_matches_oracle(trees, context_events(stream, t, p.history_window), t)
+
+
+@pytest.mark.parametrize("tol", [0, 2])
+@pytest.mark.parametrize("frequency_threshold", [0, 2])
+@pytest.mark.parametrize("min_len", [1, 2, 3])
+def test_prediction_with_inhibitory_matches_naive_oracle(min_len, frequency_threshold, tol):
+    # the walk records only candidate nodes and skips leaves; inhibitory
+    # patterns (zero counts, hung below bare structural nodes) must still
+    # be found at every step they match
+    p = EpstParams(
+        history_window=12,
+        prediction_window=10,
+        min_subseq_len=min_len,
+        max_subseq_len=3,
+        max_spike_interval=12,
+        frequency_threshold=frequency_threshold,
+        matching_interval=tol,
+    )
+    stream = stream_from(random_pairs(20 + min_len, 60, 3), 3)
+    trees = learn(stream, p)
+    for tree in trees:
+        for e in stream.events[20:50:6]:
+            record_false_positive(tree, window_of(stream, e.time, p.history_window))
+    assert all(any(n.is_inhibitory for n in tree.iter_nodes()) for tree in trees)
+    hits = 0
+    for e in stream.events[24:60:7]:
+        t = e.time
+        matrix = assert_matches_oracle(trees, context_events(stream, t, p.history_window), t)
+        hits += len(matrix.inhibitory_hits)
+    assert hits > 0
+
+
+def test_trees_with_different_windows_match_naive_oracle():
+    # trees that differ in M, M' or tol must not share an event table
+    stream = stream_from(random_pairs(15, 80, 4), 4)
+    trees = []
+    for g, (m, mp, tol) in enumerate([(16, 12, 0), (10, 12, 0), (16, 6, 0), (16, 12, 2)]):
+        p = EpstParams(
+            history_window=m,
+            prediction_window=mp,
+            max_spike_interval=16,
+            matching_interval=tol,
+        )
+        trees += learn(stream, p, channels=[g])
+    for t in (stream.events[40].time, stream.events[-1].time):
+        assert_matches_oracle(trees, context_events(stream, t, 16), t)
 
 
 def test_fresh_trees_predict_all_zero():

@@ -6,7 +6,13 @@ from typing import Dict, List, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epst.events import Event, EventStream, window_of
+from epst.events import Event, EventStream, canonical_items, window_of
+from epst.extensions import (
+    FALSE_NEGATIVE_LIMIT,
+    inhibitory_maintenance,
+    prune_entropy,
+    record_false_positive,
+)
 from epst.tree import EpstParams, EpstTree
 
 Items = Tuple[Tuple[int, int], ...]
@@ -257,6 +263,40 @@ def _walk(node):
 
 def _all_nodes(tree):
     return [tree.root, *tree.iter_nodes()]
+
+
+def test_subsequence_kept_through_maintenance():
+    p = EpstParams(history_window=16, max_spike_interval=16, max_subseq_len=3)
+    stream = stream_from(random_pairs(14, 80, 4), 4)
+    tree = learn(stream, p, channels=[0])[0]
+    for node in tree.iter_nodes():
+        node.subsequence()
+    for e in stream.events[30:70:5]:
+        record_false_positive(tree, window_of(stream, e.time, p.history_window))
+    inhibitory = [n for n in tree.iter_nodes() if n.is_inhibitory][::3]
+    removed = []
+    for _ in range(FALSE_NEGATIVE_LIMIT + 1):
+        removed += inhibitory_maintenance(tree, inhibitory)
+    assert removed and len(removed) == len(inhibitory)
+    assert prune_entropy(tree, 0.3) > 0
+
+    def paths(node, prefix):
+        for child in node.children.values():
+            items = prefix + [child.item]
+            yield child, items
+            yield from paths(child, items)
+
+    expected = dict(paths(tree.root, []))
+    assert set(expected) == set(tree.iter_nodes())
+    for node in tree.iter_nodes():
+        chain, up = [], node
+        while up.item is not None:
+            chain.append(up.item)
+            up = up.parent
+        assert up is tree.root
+        sub = node.subsequence()
+        assert sub is node.subsequence()
+        assert sub.items == canonical_items(chain) == canonical_items(expected[node])
 
 
 def test_dump_round_trip_format():

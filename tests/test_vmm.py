@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from epst.events import Event, EventStream
 from epst.runner import run_vmm
-from epst.vmm import VmmModel, symbolize
+from epst.vmm import VmmModel
 
 
-def test_symbolize_orders_and_hides_drops():
+def test_run_vmm_orders_and_keeps_drops():
     stream = EventStream(
         (
             Event(3, 2),
@@ -20,7 +20,15 @@ def test_symbolize_orders_and_hides_drops():
         ),
         3,
     )
-    assert symbolize(stream) == [2, 0, 1, 2]
+    run = run_vmm(stream, "ppmc")
+    assert [(e.time, e.channel) for e in run.events] == [(3, 2), (5, 1), (7, 0), (7, 1), (9, 2)]
+    # the dropped event is scored but never taught to the model
+    assert run.events[1].label == "dropped"
+    assert [e.channel for e in run.events if e.label != "dropped"] == [2, 0, 1, 2]
+    model = VmmModel("ppmc", 3)
+    for c in (2, 0):
+        model.update(c)
+    assert run.probabilities[3] == float(model.predict()[1])
 
 
 def test_context_counts_hand_worked():
