@@ -30,7 +30,13 @@ from .evaluation import (
 )
 from .extensions import VARIANTS
 from .runner import run_epst, run_vmm
-from .scenarios import SCENARIO_IDS, ScenarioScript, load_scenario, load_scenario_file
+from .scenarios import (
+    SCENARIO_IDS,
+    ScenarioScript,
+    config_value,
+    load_scenario,
+    load_scenario_file,
+)
 from .svg import fp_chart, trace_chart
 from .tree import EpstParams
 
@@ -162,7 +168,7 @@ def _parse_overrides(extras: Sequence[str]) -> Dict[str, int]:
             raise ValueError(f"unknown tree parameter: {name}")
         if value is None:
             raise ValueError(f"missing value for --epst.{name}")
-        overrides[name] = _tree_int(value, f"--epst.{name}")
+        overrides[name] = config_value(value, f"--epst.{name}")
         i += 1
     return overrides
 
@@ -181,25 +187,16 @@ def _config_from_file(path: str) -> Dict[str, object]:
         if "algos" in run:
             out["algos"] = run["algos"]
         if "seeds" in run:
-            out["seeds"] = run.getint("seeds")
+            out["seeds"] = config_value(run["seeds"], f"{path}: [run] seeds")
         if "out" in run:
             out["out"] = run["out"]
         if "dump_tree" in run:
             out["dump_tree"] = run.getboolean("dump_tree")
     if cp.has_section("epst"):
         out["overrides"] = {
-            k: _tree_int(v, f"{path}: [epst] {k}") for k, v in cp["epst"].items()
+            k: config_value(v, f"{path}: [epst] {k}") for k, v in cp["epst"].items()
         }
     return out
-
-
-def _tree_int(value: str, where: str) -> int:
-    """A tree parameter's integer value; `where` names the flag or the
-    config file entry it came from."""
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{where}: expected an integer, got {value!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -10,14 +10,18 @@ probability of exactly zero.
 Matching for all steps of one trigger is done in a single tree walk:
 an item (d, c) of a stored pattern matches an event with age a = t - t_k
 at step n iff |n + a - d| <= tol, so each (item, event) pair contributes
-a contiguous interval of steps, tracked as a bitmask during the walk.
+a contiguous interval of steps, tracked as a bitmask during the walk. The
+masks come from per-age step tables (`_step_rows`), built once per
+(M, M', tol) and indexed by d. Matched nodes are ranked as plain tuples;
+only a node that wins a nonzero cell becomes a `Candidate`, and the
+prediction matrix stores only rows with a nonzero cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,9 +41,11 @@ def estimate_probability(numerator: int, denominator: int) -> float:
     return min(max(numerator, 0) / denominator, 1.0)
 
 
+@lru_cache(maxsize=1 << 12)
 def entropy(numerator: int, denominator: int) -> float:
     """Binary Shannon entropy of the estimated probability (natural log,
-    0*ln 0 := 0). Lower means more reliable."""
+    0*ln 0 := 0). Lower means more reliable. Memoised: selection ranks
+    every matched node by it on every prediction."""
     p = estimate_probability(numerator, denominator)
     h = 0.0
     if 0.0 < p < 1.0:
@@ -94,11 +100,28 @@ def select_representative(candidates: Iterable[Candidate]) -> Optional[Candidate
     return best
 
 
+class _Rows(dict):
+    """Channel -> estimate row. Prediction stores only rows with a nonzero
+    cell; indexing a missing channel stores and returns an all-zero row."""
+
+    __slots__ = ("width",)
+
+    def __init__(self, width: int, rows=()):
+        super().__init__(rows)
+        self.width = width
+
+    def __missing__(self, channel: int) -> List[float]:
+        row = self[channel] = [0.0] * self.width
+        return row
+
+
 @dataclass
 class PredictionMatrix:
-    """Per-trigger grid of probability estimates, one row per predicted
-    channel, columns n = 0..M'. `chosen` records the representative behind
-    every nonzero cell."""
+    """Per-trigger grid of probability estimates, columns n = 0..M'.
+    `estimates` stores a row only for a channel with a nonzero cell; a
+    missing row reads 0 through `probability`, and indexing it stores a
+    zero row. `chosen` records the representative behind every nonzero
+    cell."""
 
     trigger_time: int
     steps: int  # M'
@@ -106,6 +129,9 @@ class PredictionMatrix:
     chosen: Dict[Tuple[int, int], Candidate] = field(default_factory=dict)
     # matched inhibitory patterns per channel: (node, step bitmask)
     inhibitory_hits: Dict[int, List[Tuple[TreeNode, int]]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.estimates = _Rows(self.steps + 1, self.estimates)
 
     def probability(self, channel: int, n: int) -> float:
         row = self.estimates.get(channel)
@@ -133,25 +159,42 @@ class PredictionMatrix:
         return "\n".join(lines) + "\n"
 
 
-EventTable = Dict[int, List[Tuple[int, int, int, int, int]]]
+EventTable = Dict[int, List[Tuple[int, Tuple[int, ...]]]]
+
+
+@lru_cache(maxsize=64)
+def _step_rows(m: int, mp: int, tol: int) -> Tuple[Tuple[int, ...], ...]:
+    """For every event age a = t - t_k in 0..M, the step masks indexed by
+    cumulative delay d in 0..M + tol: bit n is set iff an item with delay d
+    matches the event in the window at t + n, i.e. |n + a - d| <= tol with
+    the event inside that window (1 <= n + a <= M) and 0 <= n <= M'. Tree
+    items are window entries, so d <= M; no d > M + tol has a nonzero mask."""
+    rows = []
+    for a in range(m + 1):
+        floor, cap = max(1 - a, 0), min(m - a, mp)
+        row = []
+        for d in range(m + tol + 1):
+            lo, hi = max(d - a - tol, floor), min(d - a + tol, cap)
+            row.append(((1 << (hi - lo + 1)) - 1) << lo if lo <= hi else 0)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _event_table(
     events: Sequence[Tuple[int, int]], t: int, m: int, mp: int, tol: int
 ) -> EventTable:
-    """The context at t grouped by channel, in event order. Each event with
-    age a = t - t_k becomes (bit, a + tol, a - tol, floor, cap): its bit in
-    the walk's used-event mask, and the bounds of the steps n at which it
-    can match an item with cumulative delay d, which are
-    max(d - (a + tol), floor) <= n <= min(d - (a - tol), cap), where floor =
-    max(1 - a, 0) keeps the event inside the window at t + n and cap =
-    min(M - a, M') keeps it in the window and in the horizon."""
+    """The context at t grouped by channel, in event order. Each event
+    becomes (bit, row): its bit in the walk's used-event mask and its
+    _step_rows row, so an item with cumulative delay d matches it at the
+    steps `row[d]`. An event older than M matches at no step and is left
+    out, but its channel keeps its place in the table's order."""
+    rows = _step_rows(m, mp, tol)
     table: EventTable = {}
     for k, (time_k, c_k) in enumerate(events):
+        occurrences = table.setdefault(c_k, [])
         age = t - time_k
-        table.setdefault(c_k, []).append(
-            (1 << k, age + tol, age - tol, max(1 - age, 0), min(m - age, mp))
-        )
+        if age <= m:
+            occurrences.append((1 << k, rows[age]))
     return table
 
 
@@ -162,14 +205,17 @@ def _step_masks(tree: EpstTree, table: EventTable) -> Dict[TreeNode, int]:
     t + n; `table` is the context's _event_table for this tree's M, M' and
     tol. Nodes are recorded in the order the walk first reaches them. A
     child that is neither a candidate nor has children of its own is not
-    matched at all, and a matched leaf is not descended into."""
+    matched at all, and a matched leaf is not descended into. When
+    min_subseq_len >= 2 no level-1 node is a candidate (inhibitory patterns
+    are at least min_subseq_len long too), so the walk starts from the
+    root's branching level-1 nodes."""
     p = tree.params
     min_len, min_den = p.min_subseq_len, max(p.frequency_threshold, 1)
     results: Dict[TreeNode, int] = {}
 
-    def walk(node: TreeNode, mask: int, used: int):
+    def walk(groups: Dict[int, List[TreeNode]], mask: int, used: int):
         for c, occurrences in table.items():
-            children = node.by_channel.get(c)
+            children = groups.get(c)
             if children is None:
                 continue
             for child in children:
@@ -180,27 +226,31 @@ def _step_masks(tree: EpstTree, table: EventTable) -> Dict[TreeNode, int]:
                 if not (keep or deeper):
                     continue
                 d = child.cum_delay
-                for bit, near, far, floor, cap in occurrences:
+                for bit, row in occurrences:
                     if used & bit:
                         continue
-                    lo = d - near
-                    if lo < floor:
-                        lo = floor
-                    hi = d - far
-                    if hi > cap:
-                        hi = cap
-                    if lo > hi:
-                        continue
-                    seg = mask & (((1 << (hi - lo + 1)) - 1) << lo)
+                    seg = mask & row[d]
                     if not seg:
                         continue
                     if keep:
                         results[child] = results.get(child, 0) | seg
                     if deeper:
-                        walk(child, seg, used | bit)
+                        walk(deeper, seg, used | bit)
 
-    walk(tree.root, (1 << (p.prediction_window + 1)) - 1, 0)
+    root = tree.root
+    walk(root.branching if min_len > 1 else root.by_channel,
+         (1 << (p.prediction_window + 1)) - 1, 0)
     return results
+
+
+def _rank_key(node: TreeNode):
+    """`candidate_from_node(node).rank_key()`, without building the
+    Candidate. Sort keys differ between the nodes of one tree, so ranking
+    never compares past them."""
+    if node.inhibitory is not None:
+        return (0.0, -node.depth, -1, node.sort_key())
+    den = node.denominator
+    return (entropy(node.numerator, den), -node.depth, -den, node.sort_key())
 
 
 def predict_from_context(
@@ -210,7 +260,10 @@ def predict_from_context(
     context: for each tree and each step n in 0..M', the window at t + n is
     matched against the stored patterns and the representative's
     probability is written to the cell (0 when nothing matches). Trees
-    with the same M, M' and tol share one event table."""
+    with the same M, M' and tol share one event table. Matches are ranked
+    as plain `Candidate.rank_key` tuples; a Candidate is built only for a
+    node that wins a nonzero cell, and a row is stored only when it has
+    one."""
     steps = max(tree.params.prediction_window for tree in trees)
     matrix = PredictionMatrix(trigger_time=t, steps=steps)
     tables: Dict[Tuple[int, int, int], EventTable] = {}
@@ -221,27 +274,32 @@ def predict_from_context(
         table = tables.get(key)
         if table is None:
             table = tables[key] = _event_table(events, t, *key)
-        row = [0.0] * (steps + 1)
-        scored: List[Tuple[Candidate, int]] = []
+        matches = _step_masks(tree, table)
+        if not matches:
+            continue
+        ranked = []
         inhib: List[Tuple[TreeNode, int]] = []
-        for node, mask in _step_masks(tree, table).items():
-            if node.is_inhibitory:
+        for node, mask in matches.items():
+            if node.inhibitory is not None:
                 inhib.append((node, mask))
-            scored.append((candidate_from_node(node), mask))
-        scored.sort(key=lambda cm: cm[0].rank_key())
+            ranked.append((_rank_key(node), node, mask))
+        ranked.sort()
+        row = None
         remaining = (1 << (mp + 1)) - 1
-        for cand, mask in scored:
+        for _, node, mask in ranked:
             take = mask & remaining
-            while take:
-                n = (take & -take).bit_length() - 1
-                take &= take - 1
-                row[n] = cand.probability
-                if cand.probability > 0.0:
-                    matrix.chosen[(tree.g, n)] = cand
             remaining &= ~mask
+            if take and node.inhibitory is None and node.numerator > 0:
+                cand = candidate_from_node(node)
+                if row is None:
+                    row = matrix.estimates[tree.g] = [0.0] * (steps + 1)
+                while take:
+                    n = (take & -take).bit_length() - 1
+                    take &= take - 1
+                    row[n] = cand.probability
+                    matrix.chosen[(tree.g, n)] = cand
             if not remaining:
                 break
-        matrix.estimates[tree.g] = row
         if inhib:
             matrix.inhibitory_hits[tree.g] = inhib
     return matrix
@@ -288,7 +346,13 @@ def sampled_predict(
             agg = matrix
             continue
         for g, row in matrix.estimates.items():
-            arow = agg.estimates[g]
+            arow = agg.estimates.get(g)
+            if arow is None:
+                agg.estimates[g] = row
+                for n, p in enumerate(row):
+                    if p:
+                        agg.chosen[(g, n)] = matrix.chosen[(g, n)]
+                continue
             for n, p in enumerate(row):
                 if p > arow[n]:
                     arow[n] = p

@@ -77,6 +77,13 @@ class ScenarioScript:
         return stream
 
 
+_INTERVALS = "comma-separated LO-HI intervals"
+
+
+def _parse_ints(raw: str) -> List[int]:
+    return [int(x) for x in raw.split(",")]
+
+
 def _parse_intervals(raw: str) -> List[Interval]:
     out = []
     for part in raw.split(","):
@@ -88,6 +95,16 @@ def _parse_intervals(raw: str) -> List[Interval]:
     return out
 
 
+def config_value(raw: str, where: str, parse=int, expected: str = "an integer"):
+    """A config value parsed by `parse`; a bad value raises a ValueError
+    that names `where` it came from: the flag, or the file, section and
+    key."""
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"{where}: expected {expected}, got {raw!r}") from None
+
+
 def load_scenario_file(path_or_text, from_text: bool = False) -> ScenarioScript:
     cp = configparser.ConfigParser()
     if from_text:
@@ -95,34 +112,47 @@ def load_scenario_file(path_or_text, from_text: bool = False) -> ScenarioScript:
     else:
         with open(path_or_text, encoding="utf-8") as fh:
             cp.read_file(fh)
+    source = "<scenario text>" if from_text else str(path_or_text)
 
-    sc = cp["scenario"]
+    def value(section, key, fallback=None, parse=int, expected="an integer", required=False):
+        """The entry parsed by `parse`; `fallback` when it is absent, or a
+        KeyError when it is required."""
+        raw = cp[section][key] if required else cp[section].get(key)
+        if raw is None:
+            return fallback
+        return config_value(raw, f"{source}: [{section}] {key}", parse, expected)
+
     script = ScenarioScript(
-        scenario_id=sc["id"],
-        num_channels=sc.getint("num_channels", datagen.NUM_CHANNELS),
-        total_events=sc.getint("total_events", 1000),
-        bin_width=sc.getint("bin_width", 250),
+        scenario_id=cp["scenario"]["id"],
+        num_channels=value("scenario", "num_channels", datagen.NUM_CHANNELS),
+        total_events=value("scenario", "total_events", 1000),
+        bin_width=value("scenario", "bin_width", 250),
     )
     if cp.has_section("interference"):
-        script.interference_intervals = _parse_intervals(cp["interference"]["intervals"])
-        script.interference_pattern_offsets = [
-            int(x) for x in cp["interference"]["pattern_seed_offsets"].split(",")
-        ]
+        script.interference_intervals = value(
+            "interference", "intervals", parse=_parse_intervals, expected=_INTERVALS, required=True
+        )
+        script.interference_pattern_offsets = value(
+            "interference", "pattern_seed_offsets", parse=_parse_ints,
+            expected="comma-separated integers", required=True,
+        )
         if len(script.interference_intervals) != len(script.interference_pattern_offsets):
             raise ValueError("one pattern seed offset needed per interference interval")
     if cp.has_section("noise"):
-        script.noise_intervals = _parse_intervals(cp["noise"]["intervals"])
+        script.noise_intervals = value(
+            "noise", "intervals", parse=_parse_intervals, expected=_INTERVALS, required=True
+        )
     if cp.has_section("jitter"):
-        script.jitter_onset_event = cp["jitter"].getint("onset_event")
-        script.jitter_max = cp["jitter"].getint("max", datagen.JITTER_MAX)
+        script.jitter_onset_event = value("jitter", "onset_event")
+        script.jitter_max = value("jitter", "max", datagen.JITTER_MAX)
     if cp.has_section("dropout"):
-        script.dropout_p = cp["dropout"].getfloat("p")
-        script.dropout_onset_time = cp["dropout"].getint("onset_time")
+        script.dropout_p = value("dropout", "p", parse=float, expected="a number")
+        script.dropout_onset_time = value("dropout", "onset_time")
     if cp.has_section("scoring"):
         script.scoring_mode = cp["scoring"].get("mode", "structured")
-        script.scoring_pad = cp["scoring"].getint("pad", 0)
+        script.scoring_pad = value("scoring", "pad", 0)
     if cp.has_section("epst"):
-        script.epst_overrides = {k: int(v) for k, v in cp["epst"].items()}
+        script.epst_overrides = {k: value("epst", k) for k in cp["epst"]}
     return script
 
 

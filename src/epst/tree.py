@@ -67,12 +67,13 @@ class TreeNode:
         "by_channel",
         "parent",
         "inhibitory",
-        "_subsequence",
+        "branching",
+        "_sort_key",
     )
 
     def __init__(self, item: Optional[Item], parent: Optional["TreeNode"]):
         # item and parent are set here only, so the path from the root, and
-        # the Subsequence kept by subsequence(), never change
+        # the key kept by sort_key(), never change
         self.item = item                      # (cumulative delay, channel); None at root
         self.parent = parent
         self.cum_delay = 0 if item is None else item[0]
@@ -84,11 +85,16 @@ class TreeNode:
         # children on a channel present in the window
         self.by_channel: Dict[int, List["TreeNode"]] = {}
         self.inhibitory: Optional[InhibitoryRecord] = None
-        self._subsequence: Optional[Subsequence] = None
+        # root only: the level-1 children that have children of their own,
+        # per channel, in by_channel order; attach and detach keep it
+        self.branching: Optional[Dict[int, List["TreeNode"]]] = {} if parent is None else None
+        self._sort_key = None
 
     def attach(self, child: "TreeNode") -> None:
         self.children[child.item] = child
         self.by_channel.setdefault(child.item[1], []).append(child)
+        if self.depth == 1 and len(self.children) == 1:
+            self.parent._reindex(self.item[1])
 
     def detach(self, item: Item) -> "TreeNode":
         child = self.children.pop(item)
@@ -96,7 +102,19 @@ class TreeNode:
         group.remove(child)
         if not group:
             del self.by_channel[item[1]]
+        if self.depth == 0 and child.children:
+            self._reindex(item[1])
+        elif self.depth == 1 and not self.children:
+            self.parent._reindex(self.item[1])
         return child
+
+    def _reindex(self, channel: int) -> None:
+        """Rebuild the root's branching list for one channel."""
+        group = [n for n in self.by_channel.get(channel, ()) if n.children]
+        if group:
+            self.branching[channel] = group
+        else:
+            self.branching.pop(channel, None)
 
     @property
     def is_inhibitory(self) -> bool:
@@ -108,16 +126,20 @@ class TreeNode:
         return (self.cum_delay - parent_cum, self.item[1])
 
     def subsequence(self) -> Subsequence:
-        """The path from the root as a Subsequence; built on first use and
-        kept on the node."""
-        if self._subsequence is None:
-            items = []
-            node = self
-            while node.item is not None:
-                items.append(node.item)
-                node = node.parent
-            self._subsequence = Subsequence(canonical_items(items))
-        return self._subsequence
+        """The path from the root as a Subsequence."""
+        items = []
+        node = self
+        while node.item is not None:
+            items.append(node.item)
+            node = node.parent
+        return Subsequence(canonical_items(items))
+
+    def sort_key(self):
+        """`subsequence().sort_key()`: built on first use and kept on the
+        node, since selection ranks by it on every prediction."""
+        if self._sort_key is None:
+            self._sort_key = self.subsequence().sort_key()
+        return self._sort_key
 
 
 class EpstTree:
@@ -168,6 +190,8 @@ class EpstTree:
         for level1 in self.root.by_channel.get(event.channel, ()):
             if not level1.is_inhibitory:
                 level1.denominator += 1
+            if not level1.by_channel:
+                continue
             matched = set()
             _match_below(level1, level1.cum_delay, entries, tol, set(), matched)
             for node in matched:
@@ -227,7 +251,7 @@ class EpstTree:
         entries = window.sorted_entries()
         matched = set()
         _match_below(self.root, 0, entries, self.params.matching_interval, set(), matched)
-        return sorted(matched, key=lambda n: n.subsequence().sort_key())
+        return sorted(matched, key=TreeNode.sort_key)
 
     # -- serialization -----------------------------------------------------
 

@@ -60,6 +60,11 @@ def test_scenario_interference_offsets_validated():
         load_scenario_file(bad, from_text=True)
 
 
+def test_scenario_missing_required_key_rejected():
+    with pytest.raises(KeyError, match="intervals"):
+        load_scenario_file(TINY_SCENARIO + "\n[noise]\n", from_text=True)
+
+
 # ---------------------------------------------------------------------------
 # experiment runner
 
@@ -203,6 +208,30 @@ def test_main_non_integer_tree_parameter_is_usage_error(tmp_path, tiny_cfg, caps
     assert code == 2
     err = capsys.readouterr().err
     assert "history_window" in err and where in err and "'abc'" in err
+    assert not out.exists()  # no job ran
+
+
+@pytest.mark.parametrize(
+    "text, where, problem",
+    [
+        (TINY_SCENARIO.replace("num_channels = 10", "num_channels = abc"),
+         "[scenario] num_channels", "expected an integer, got 'abc'"),
+        (TINY_SCENARIO + "\n[epst]\nhistory_window = abc\n",
+         "[epst] history_window", "expected an integer, got 'abc'"),
+        (TINY_SCENARIO + "\n[noise]\nintervals = 100-abc\n",
+         "[noise] intervals", "expected comma-separated LO-HI intervals, got '100-abc'"),
+    ],
+)
+def test_main_bad_scenario_value_is_usage_error(tmp_path, capsys, text, where, problem):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    code = run_main(
+        ["run", "--scenario-file", str(path), "--algos", "epst", "--seeds", "1",
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"bad scenario file: {path}: {where}: {problem}\n"
     assert not out.exists()  # no job ran
 
 

@@ -3,6 +3,7 @@ naive oracle that rebuilds the history window at every step and matches
 every stored pattern independently."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from epst.events import Event, EventStream, HistoryWindow, subsequence_matches, 
 from epst.extensions import record_false_positive
 from epst.infer import (
     Candidate,
+    PredictionMatrix,
     UndefinedCandidateError,
+    _rank_key,
+    _step_rows,
     candidate_from_node,
     context_events,
     entropy,
@@ -93,6 +97,94 @@ def test_select_tie_breaks():
     assert select_representative([]) is None
 
 
+def test_rank_key_matches_candidate_rank_key():
+    p = EpstParams(history_window=12, max_subseq_len=3, max_spike_interval=12)
+    stream = stream_from(random_pairs(31, 60, 3), 3)
+    rng = np.random.default_rng(3)
+    inhibitory = 0
+    for tree in learn(stream, p):
+        for e in stream.events[20:50:6]:
+            record_false_positive(tree, window_of(stream, e.time, p.history_window))
+        nodes = [n for n in tree.iter_nodes() if n.is_inhibitory or n.denominator >= 1]
+        inhibitory += sum(n.is_inhibitory for n in nodes)
+        picked = [nodes[i] for i in rng.permutation(len(nodes))]
+        assert [_rank_key(n) for n in picked] == [
+            candidate_from_node(n).rank_key() for n in picked
+        ]
+        assert sorted(picked, key=_rank_key) == sorted(
+            picked, key=lambda n: candidate_from_node(n).rank_key()
+        )
+    assert inhibitory > 0
+
+
+# ---------------------------------------------------------------------------
+# step tables and sparse rows
+
+
+def interval_mask(d, age, m, mp, tol):
+    """The steps n where an item with cumulative delay d matches an event of
+    the given age: |n + age - d| <= tol, 1 <= n + age <= M, 0 <= n <= M'."""
+    lo = max(d - age - tol, 1 - age, 0)
+    hi = min(d - age + tol, m - age, mp)
+    return ((1 << (hi - lo + 1)) - 1) << lo if lo <= hi else 0
+
+
+@pytest.mark.parametrize("tol", [0, 2])
+@pytest.mark.parametrize("m,mp", [(16, 12), (10, 12), (32, 28)])
+def test_step_rows_match_interval_formula(m, mp, tol):
+    rows = _step_rows(m, mp, tol)
+    assert len(rows) == m + 1
+    for age, row in enumerate(rows):
+        assert len(row) == m + tol + 1
+        for d in range(m + tol + 1):
+            assert row[d] == interval_mask(d, age, m, mp, tol)
+        # the row holds every nonzero mask
+        assert all(interval_mask(d, age, m, mp, tol) == 0 for d in range(m + tol + 1, 2 * m + 4))
+    # ages past M match nowhere
+    assert all(interval_mask(d, m + 1, m, mp, tol) == 0 for d in range(2 * m + 4))
+
+
+def test_tree_delays_stay_within_history_window():
+    # the step rows are indexed by cumulative delay up to M + tol
+    p = EpstParams(history_window=12, max_subseq_len=3, max_spike_interval=12)
+    stream = stream_from(random_pairs(32, 80, 3), 3)
+    trees = learn(stream, p)
+    for tree in trees:
+        for e in stream.events[20:70:5]:
+            record_false_positive(tree, window_of(stream, e.time, p.history_window))
+        assert max(n.cum_delay for n in tree.iter_nodes()) <= p.history_window
+
+
+def test_sparse_rows():
+    matrix = PredictionMatrix(trigger_time=10, steps=3, estimates={2: [0.0, 0.5, 0.0, 0.25]})
+    assert matrix.probability(0, 1) == 0.0
+    assert 0 not in matrix.estimates
+    # indexing a missing row stores a zero row, which adds no cell
+    row = matrix.estimates[0]
+    assert row == [0.0] * 4
+    assert dict(matrix.estimates.items()) == {2: [0.0, 0.5, 0.0, 0.25], 0: [0.0] * 4}
+    assert matrix.cells == ((1, 2, 0.5), (3, 2, 0.25))
+    # and later readers of the rows see writes to it
+    row[3] = 1.5
+    assert max(max(r) for _, r in matrix.estimates.items()) == 1.5
+    copy = pickle.loads(pickle.dumps(matrix))
+    assert copy == matrix
+    assert copy.estimates[5] == [0.0] * 4
+
+
+def test_predicted_rows_are_nonzero():
+    p = EpstParams(history_window=16, max_spike_interval=16)
+    stream = stream_from(random_pairs(9, 80, 4), 4)
+    trees = learn(stream, p)
+    stored = 0
+    for e in stream.events[30::5]:
+        matrix = predict_window(trees, stream, e.time)
+        assert all(any(row) for row in matrix.estimates.values())
+        assert {g for _, g, _ in matrix.cells} == set(matrix.estimates)
+        stored += len(matrix.estimates)
+    assert stored > 0
+
+
 # ---------------------------------------------------------------------------
 # full prediction vs naive per-step oracle
 
@@ -100,9 +192,10 @@ def test_select_tie_breaks():
 def naive_matrix(trees, events, t):
     """Rebuild the window at t + n for every step independently and pick the
     representative by rank among matching eligible patterns. Returns the
-    estimate rows and the representative of every nonzero cell, as
-    `predict_from_context` reports them, and for each tree the per-step
-    match mask of every inhibitory pattern that matches at some step."""
+    estimate rows with a nonzero cell and the representative of every
+    nonzero cell, as `predict_from_context` reports them, and for each tree
+    the per-step match mask of every inhibitory pattern that matches at
+    some step."""
     estimates, chosen, inhibitory = {}, {}, {}
     steps = max(tree.params.prediction_window for tree in trees)
     for tree in trees:
@@ -136,7 +229,8 @@ def naive_matrix(trees, events, t):
                 row[n] = best.probability
                 if best.probability > 0.0:
                     chosen[(tree.g, n)] = best
-        estimates[tree.g] = row
+        if any(row):
+            estimates[tree.g] = row
         if masks:
             inhibitory[tree.g] = masks
     return estimates, chosen, inhibitory
@@ -228,6 +322,22 @@ def test_trees_with_different_windows_match_naive_oracle():
         trees += learn(stream, p, channels=[g])
     for t in (stream.events[40].time, stream.events[-1].time):
         assert_matches_oracle(trees, context_events(stream, t, 16), t)
+
+
+def test_zero_probability_winner_stores_no_cell():
+    # a bare structural node that later gained a denominator but no
+    # numerator ranks first (entropy 0) and takes its cell, which stays 0
+    p = EpstParams(history_window=16, prediction_window=4)
+    tree = EpstTree(0, p)
+    a = tree._add_child(tree.root, (3, 1))
+    a.numerator = a.denominator = 2
+    b = tree._add_child(a, (5, 2))
+    b.numerator, b.denominator = 0, 2
+    c = tree._add_child(a, (6, 2))
+    c.numerator, c.denominator = 1, 2
+    # b and c both match at step 0 only, and b outranks c there
+    matrix = assert_matches_oracle([tree], [(14, 2), (15, 2), (17, 1)], 20)
+    assert matrix.estimates == {} and matrix.chosen == {}
 
 
 def test_fresh_trees_predict_all_zero():
@@ -322,9 +432,11 @@ def test_sampled_equals_max_over_single_runs():
         idx = rng.choice(len(events), size=k, replace=False)
         subset = [events[i] for i in sorted(idx)]
         singles.append(predict_from_context(trees, subset, t))
-    for g, row in agg.estimates.items():
-        for n, v in enumerate(row):
-            assert v == max(m.estimates[g][n] for m in singles)
+    # every cell, stored row or not
+    for g in range(stream.num_channels):
+        for n in range(agg.steps + 1):
+            assert agg.probability(g, n) == max(m.probability(g, n) for m in singles)
+    assert set(agg.chosen) == {(g, n) for n, g, _ in agg.cells}
 
 
 def test_sampling_argument_validation():

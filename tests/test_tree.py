@@ -265,20 +265,33 @@ def _all_nodes(tree):
     return [tree.root, *tree.iter_nodes()]
 
 
-def test_subsequence_kept_through_maintenance():
+def assert_branching_index(tree):
+    root = tree.root
+    expected = {
+        c: [n for n in group if n.children] for c, group in root.by_channel.items()
+    }
+    assert root.branching == {c: group for c, group in expected.items() if group}
+
+
+def test_sort_key_kept_through_maintenance():
     p = EpstParams(history_window=16, max_spike_interval=16, max_subseq_len=3)
     stream = stream_from(random_pairs(14, 80, 4), 4)
     tree = learn(stream, p, channels=[0])[0]
+    assert_branching_index(tree)
+    assert tree.root.branching
     for node in tree.iter_nodes():
-        node.subsequence()
+        node.sort_key()
     for e in stream.events[30:70:5]:
         record_false_positive(tree, window_of(stream, e.time, p.history_window))
+    assert_branching_index(tree)
     inhibitory = [n for n in tree.iter_nodes() if n.is_inhibitory][::3]
     removed = []
     for _ in range(FALSE_NEGATIVE_LIMIT + 1):
         removed += inhibitory_maintenance(tree, inhibitory)
+        assert_branching_index(tree)
     assert removed and len(removed) == len(inhibitory)
     assert prune_entropy(tree, 0.3) > 0
+    assert_branching_index(tree)
 
     def paths(node, prefix):
         for child in node.children.values():
@@ -294,9 +307,31 @@ def test_subsequence_kept_through_maintenance():
             chain.append(up.item)
             up = up.parent
         assert up is tree.root
+        key = node.sort_key()
+        assert key is node.sort_key()
         sub = node.subsequence()
-        assert sub is node.subsequence()
         assert sub.items == canonical_items(chain) == canonical_items(expected[node])
+        assert key == sub.sort_key()
+
+
+def test_branching_index_follows_attach_and_detach():
+    tree = EpstTree(0, EpstParams())
+    root = tree.root
+    a = tree._add_child(root, (3, 1))
+    tree._add_child(root, (4, 1))
+    b = tree._add_child(root, (5, 1))
+    assert root.branching == {}
+    tree._add_child(b, (7, 2))
+    assert root.branching == {1: [b]}
+    # a gains a child after b did but keeps its by_channel place
+    a_child = tree._add_child(a, (6, 2))
+    tree._add_child(a_child, (8, 0))
+    assert root.branching == {1: [a, b]}
+    tree.remove_node(a_child)
+    assert root.branching == {1: [b]}
+    tree.remove_node(b)
+    assert root.branching == {}
+    assert_branching_index(tree)
 
 
 def test_dump_round_trip_format():
