@@ -4,7 +4,7 @@ spike-triggered prediction grid.
 Run: python3 demos/quickstart.py
 """
 
-from epst import EpstParams, EpstTree, Event, EventStream, predict_window, window_of
+from epst import EpstParams, Event, EventStream, learn_stream, predict_window
 
 # a 3-event pattern on channels 1, 2, 3 announcing a spike on channel 0,
 # repeated three times
@@ -15,16 +15,9 @@ for rep in range(3):
     events.extend(Event(base + dt, c) for dt, c in pattern)
 stream = EventStream(tuple(events), num_channels=4)
 
-params = EpstParams()
-trees = [EpstTree(g, params) for g in range(4)]
-
-# online learning: every spike updates denominators; a spike in a tree's
-# preferred channel updates numerators and grows that tree
-for e in stream.events:
-    window = window_of(stream, e.time, params.history_window)
-    for tree in trees:
-        tree.step1_denominators(e, window)
-    trees[e.channel].step2_numerators_and_extend(window)
+# online learning, one tree per channel: every spike updates denominators;
+# a spike in a tree's preferred channel updates numerators and grows that tree
+trees = learn_stream(stream, EpstParams())
 
 print("tree for channel 0 after three presentations:")
 print(trees[0].dump())

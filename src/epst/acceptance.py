@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .datagen import add_random_events, gen_base
-from .events import Event, EventStream, HistoryWindow, window_of
+from .events import Event, EventStream, HistoryWindow
 from .evaluation import (
     ErrorTrace,
     aggregate_runs,
@@ -35,7 +35,7 @@ from .infer import (
 )
 from .runner import SamplingConfig, run_epst, run_vmm
 from .scenarios import load_scenario
-from .tree import EpstParams, EpstTree
+from .tree import EpstParams, EpstTree, learn_stream
 from .vmm import VmmModel
 
 STRUCTURED_SEEDS = 25
@@ -65,37 +65,17 @@ class CriterionResult:
 
 
 # ---------------------------------------------------------------------------
-# helpers
-
-
-def _epst_params(scenario) -> EpstParams:
-    overrides = {k: int(v) for k, v in scenario.epst_overrides.items()}
-    return EpstParams(**overrides)
-
-
-def _learn_online(trees: Sequence[EpstTree], stream: EventStream) -> None:
-    """Plain online learning pass (no prediction)."""
-    m = trees[0].params.history_window
-    groups: Dict[int, List[Event]] = {}
-    for e in stream.visible():
-        groups.setdefault(e.time, []).append(e)
-    for t in sorted(groups):
-        window = window_of(stream, t, m)
-        for e in groups[t]:
-            for tree in trees:
-                tree.step1_denominators(e, window)
-        for e in sorted(groups[t], key=lambda e: e.channel):
-            trees[e.channel].step2_numerators_and_extend(window)
-
-
-# ---------------------------------------------------------------------------
 # count replay oracle (independent flat-dict re-derivation of the two
-# learning steps, used to cross-check the tree)
+# learning steps, used to cross-check the tree) and its reference matcher
 
 Items = Tuple[Tuple[int, int], ...]
 
 
-def _injective_match(items: Items, entries: List[Tuple[int, int]], tol: int) -> bool:
+def _injective_match(items: Items, entries: Sequence[Tuple[int, int]], tol: int) -> bool:
+    """The tolerance-based matching rule, stated directly: True iff every
+    (delay, channel) item can be given its own window entry on the same
+    channel with a delay within +-tol. The reference that the tests hold
+    the tree's and the prediction walk's matchers to."""
     if not items:
         return True
     d, c = items[0]
@@ -200,8 +180,7 @@ def check_one_shot() -> CriterionResult:
     first = pattern + [Event(27, 0)]
     second = [Event(e.time + 100, e.channel) for e in pattern]
     stream = EventStream(tuple(first + second), 5)
-    trees = [EpstTree(g, params) for g in range(5)]
-    _learn_online(trees, EventStream(tuple(first), 5))
+    trees = learn_stream(EventStream(tuple(first), 5), params)
     matrix = predict_window(trees, stream, 120)
     got = matrix.probability(0, 7)
     others = [
@@ -222,8 +201,7 @@ def check_count_oracle(num_streams: int = ORACLE_STREAMS) -> CriterionResult:
     for k in range(num_streams):
         n_events = int(rng.integers(20, 201))
         stream = random_stream(int(rng.integers(0, 2**31)), n_events, 5)
-        trees = [EpstTree(g, params) for g in range(5)]
-        _learn_online(trees, stream)
+        trees = learn_stream(stream, params)
         g = int(rng.integers(0, 5))
         expected = replay_counts(stream, params, g)
         got = tree_counts(trees[g])
@@ -239,7 +217,7 @@ def check_count_oracle(num_streams: int = ORACLE_STREAMS) -> CriterionResult:
 
 def _structured_runs(scenario_id: str, seeds: Sequence[int], algos: Sequence[str]):
     scenario = load_scenario(scenario_id)
-    params = _epst_params(scenario)
+    params = EpstParams(**scenario.epst_overrides)
     out: Dict[str, List[ErrorTrace]] = {a: [] for a in algos}
     fp: Dict[str, List[List[Tuple[int, int]]]] = {a: [] for a in algos}
     for seed in seeds:
@@ -309,7 +287,7 @@ def check_random_noise(seeds: Optional[Sequence[int]] = None) -> CriterionResult
     event-based predictor while both order-based baselines degrade."""
     seeds = range(SECONDARY_SEEDS) if seeds is None else seeds
     scenario = load_scenario("random_noise")
-    params = _epst_params(scenario)
+    params = EpstParams(**scenario.epst_overrides)
     diffs = {"epst": [], "ppmc": [], "pst": []}
     for seed in seeds:
         stream = scenario.build_stream(seed)
@@ -414,7 +392,7 @@ def check_et0_false_positives(seeds: Optional[Sequence[int]] = None) -> Criterio
     interference ends and pruning alone is strictly slower."""
     seeds = ET0_SEEDS if seeds is None else seeds
     scenario = load_scenario("structured_et0")
-    params = _epst_params(scenario)
+    params = EpstParams(**scenario.epst_overrides)
     algos = ("epst", "epst_i", "epst_p", "epst_ip")
     summed: Dict[str, Dict[int, int]] = {a: {} for a in algos}
     for seed in seeds:
@@ -478,15 +456,11 @@ def check_invariants() -> CriterionResult:
 
     stream = gen_base(3, 120, 10)
     params = EpstParams()
-    trees = [EpstTree(g, params) for g in range(10)]
-    _learn_online(trees, stream)
+    trees = learn_stream(stream, params)
     t = stream.events[90].time
     full = predict_window(trees, stream, t)
-    shifted = EventStream(
-        tuple(Event(e.time + 500, e.channel, e.label) for e in stream.events), 10
-    )
-    trees2 = [EpstTree(g, params) for g in range(10)]
-    _learn_online(trees2, shifted)
+    shifted = stream.shifted(500)
+    trees2 = learn_stream(shifted, params)
     moved = predict_window(trees2, shifted, t + 500)
     if full.estimates != moved.estimates:
         problems.append("prediction not invariant under a time shift")

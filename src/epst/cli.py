@@ -45,6 +45,14 @@ VMM_ALGOS = ("ppmc", "pst")
 ALL_ALGOS = EPST_ALGOS + VMM_ALGOS
 DEFAULT_ALGOS = ("epst", "ppmc", "pst")
 DEFAULT_SEEDS = 25
+# the run options a flag or a config file's [run] section can set
+RUN_DEFAULTS = {
+    "scenario": None,
+    "algos": ",".join(DEFAULT_ALGOS),
+    "seeds": DEFAULT_SEEDS,
+    "out": "out",
+    "dump_tree": False,
+}
 
 USAGE_ERROR = 2
 
@@ -70,9 +78,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithms: {', '.join(unknown)}")
         # more worker processes than cores only add start-up cost and memory
         self.workers = max(1, min(self.workers, os.cpu_count() or 1))
-        values = {k: int(v) for k, v in self.scenario.epst_overrides.items()}
-        values.update(self.param_overrides)
-        self.params = EpstParams(**values)
+        self.params = EpstParams(**{**self.scenario.epst_overrides, **self.param_overrides})
 
 
 def _run_one(config: ExperimentConfig, algo: str, seed: int):
@@ -217,9 +223,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"comma separated subset of {', '.join(ALL_ALGOS)} "
         f"(default {','.join(DEFAULT_ALGOS)})",
     )
-    runp.add_argument("--seeds", type=int, default=DEFAULT_SEEDS)
-    runp.add_argument("--out", default="out")
-    runp.add_argument("--dump-tree", action="store_true")
+    # None when absent, so that a config file value can apply (RUN_DEFAULTS)
+    runp.add_argument("--seeds", type=int, help=f"default {DEFAULT_SEEDS}")
+    runp.add_argument("--out", help="default out")
+    runp.add_argument("--dump-tree", action="store_true", default=None)
     runp.add_argument("--config", help="config file with [run] and [epst] sections")
     runp.add_argument("--workers", type=int, default=1)
 
@@ -268,17 +275,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"bad config file: {exc}", file=sys.stderr)
             return USAGE_ERROR
 
-    scenario_id = args.scenario or file_opts.get("scenario")
-    scenario_file = args.scenario_file
-    if scenario_file:
+    # each run option: its flag, else the config file, else RUN_DEFAULTS
+    flags = {k: v for k, v in vars(args).items() if k in RUN_DEFAULTS and v is not None}
+    opts = {**RUN_DEFAULTS, **file_opts, **flags}
+    if args.scenario_file:
         try:
-            scenario = load_scenario_file(scenario_file)
+            scenario = load_scenario_file(args.scenario_file)
         except (OSError, KeyError, ValueError, configparser.Error) as exc:
             print(f"bad scenario file: {exc}", file=sys.stderr)
             return USAGE_ERROR
-    elif scenario_id:
+    elif opts["scenario"]:
         try:
-            scenario = load_scenario(str(scenario_id))
+            scenario = load_scenario(str(opts["scenario"]))
         except KeyError as exc:
             print(exc.args[0], file=sys.stderr)
             return USAGE_ERROR
@@ -286,8 +294,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("one of --scenario or --scenario-file is required", file=sys.stderr)
         return USAGE_ERROR
 
-    algos_raw = args.algos or file_opts.get("algos") or ",".join(DEFAULT_ALGOS)
-    algorithms = tuple(a.strip() for a in str(algos_raw).split(",") if a.strip())
+    algorithms = tuple(a.strip() for a in str(opts["algos"]).split(",") if a.strip())
     merged_overrides = dict(file_opts.get("overrides", {}))
     merged_overrides.update(overrides)
 
@@ -295,11 +302,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = ExperimentConfig(
             scenario=scenario,
             algorithms=algorithms,
-            seeds=args.seeds if args.seeds != DEFAULT_SEEDS or "seeds" not in file_opts
-            else int(file_opts["seeds"]),
-            out_dir=str(args.out if args.out != "out" or "out" not in file_opts
-                        else file_opts["out"]),
-            dump_tree=args.dump_tree or bool(file_opts.get("dump_tree", False)),
+            seeds=opts["seeds"],
+            out_dir=str(opts["out"]),
+            dump_tree=bool(opts["dump_tree"]),
             param_overrides=merged_overrides,
             workers=args.workers,
         )

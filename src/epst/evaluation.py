@@ -240,58 +240,31 @@ def score_structured(
     }
 
 
-def score_random_noise(
-    run: EpstRunResult, stream: EventStream, bin_width: int = DEFAULT_BIN_WIDTH
-) -> ErrorTrace:
-    """Noise events are skipped entirely; only signal events are scored and
-    advance t_prev. Since the noise is unpredictable by construction, only
-    signal cells can legitimately hold predictions, so the normalizing sum
-    is restricted to them."""
-    span = stream.events[-1].time if stream.events else 0
-    signal = _scored_events(stream, "random_noise")
-    allowed = {(e.channel, e.time) for e in signal}
-    return bin_errors(
-        _score_stream(run, stream.num_channels, signal, allowed=allowed),
-        bin_width,
-        span,
-    )
-
-
-def score_dropout(
-    run: EpstRunResult, stream: EventStream, bin_width: int = DEFAULT_BIN_WIDTH, pad: int = 0
-) -> ErrorTrace:
-    """Dropped events are scored as true next events (predicting them is
-    rewarded) and advance t_prev."""
-    span = stream.events[-1].time if stream.events else 0
-    scored = _scored_events(stream, "jitter_dropout")
-    return bin_errors(
-        _score_stream(run, stream.num_channels, scored, pad=pad), bin_width, span
-    )
-
-
-def score_jitter(
-    run: EpstRunResult, stream: EventStream, pad: int = 4, bin_width: int = DEFAULT_BIN_WIDTH
-) -> ErrorTrace:
-    span = stream.events[-1].time if stream.events else 0
-    signal = _scored_events(stream, "jitter")
-    return bin_errors(
-        _score_stream(run, stream.num_channels, signal, pad=pad), bin_width, span
-    )
-
-
 def score_epst(
     run: EpstRunResult, stream: EventStream, mode: str,
     bin_width: int = DEFAULT_BIN_WIDTH, pad: int = 0,
 ) -> ErrorTrace:
+    """The error trace of one run under a scenario's scoring rule.
+
+    - structured: the combined trace of `score_structured`.
+    - random_noise: noise events are skipped entirely; only signal events
+      are scored and advance t_prev. Since the noise is unpredictable by
+      construction, only signal cells can legitimately hold predictions,
+      so the normalizing sum is restricted to them. `pad` is not used.
+    - jitter: signal events, with the pad-shifted windows of `_score_stream`.
+    - jitter_dropout: as jitter, but dropped events are also scored as true
+      next events (predicting them is rewarded) and advance t_prev.
+    """
     if mode == "structured":
         return score_structured(run, stream, bin_width)["combined"]
+    span = stream.events[-1].time if stream.events else 0
+    scored = _scored_events(stream, mode)
     if mode == "random_noise":
-        return score_random_noise(run, stream, bin_width)
-    if mode == "jitter":
-        return score_jitter(run, stream, pad, bin_width)
-    if mode == "jitter_dropout":
-        return score_dropout(run, stream, bin_width, pad)
-    raise ValueError(f"unknown scoring mode {mode!r}")
+        allowed = {(e.channel, e.time) for e in scored}
+        errors = _score_stream(run, stream.num_channels, scored, allowed=allowed)
+    else:
+        errors = _score_stream(run, stream.num_channels, scored, pad=pad)
+    return bin_errors(errors, bin_width, span)
 
 
 def score_vmm(

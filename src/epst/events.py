@@ -1,5 +1,5 @@
 """Event model: timestamped multi-channel events, history windows, and
-subsequence decomposition with the tolerance-based matching rule.
+subsequence decomposition.
 
 Time is discrete (one integer step). A history window at reference time t
 holds (delay, channel) pairs for events in [t - M, t); the event at t
@@ -175,30 +175,6 @@ def enumerate_subsequences(
     return out
 
 
-def subsequence_matches(sub: Subsequence, window: HistoryWindow, tol: int) -> bool:
-    """True iff window entries can be injectively assigned to the items of
-    `sub`, same channel, delays within +-tol."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    entries = window.sorted_entries()
-    return _assign(sub.items, 0, entries, set(), tol)
-
-
-def _assign(items, idx, entries, used, tol):
-    if idx == len(items):
-        return True
-    d, c = items[idx]
-    for j, (wd, wc) in enumerate(entries):
-        if j in used or wc != c or abs(wd - d) > tol:
-            continue
-        used.add(j)
-        if _assign(items, idx + 1, entries, used, tol):
-            used.discard(j)
-            return True
-        used.discard(j)
-    return False
-
-
 def read_stream(path, num_channels: int) -> EventStream:
     """Event stream file: one `time,channel[,label]` per line, UTF-8. A bad
     line raises ValueError naming the file and its 1-based line number."""
@@ -233,9 +209,3 @@ def _parse_event(line: str, num_channels: int) -> Event:
     if channel >= num_channels:
         raise ValueError(f"channel {channel} out of range [0, {num_channels})")
     return event
-
-
-def write_stream(path, stream: EventStream) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in stream.events:
-            fh.write(f"{e.time},{e.channel},{e.label}\n")

@@ -4,16 +4,13 @@ Inhibitory patterns are created from false positives: subsequences of the
 offending window that do not already exist as excitatory patterns are
 stored with a zero probability contribution. They are destroyed when they
 repeatedly coincide with actual spikes in the preferred channel (false
-negatives). Pruning removes unreliable (high entropy) excitatory patterns,
-either by threshold or uniformly at random.
+negatives). Pruning removes unreliable (high entropy) excitatory patterns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, List
-
-import numpy as np
 
 from .events import HistoryWindow, enumerate_subsequences
 from .infer import entropy
@@ -132,22 +129,3 @@ def prune_entropy(tree: EpstTree, entropy_threshold: float, epsilon: float = 1e-
     walk(tree.root)
     return removed
 
-
-def prune_random(tree: EpstTree, fraction: float, seed: int) -> int:
-    """Remove floor(fraction * node_count) uniformly sampled leaves,
-    re-sampling as removals expose new leaves. Deterministic given seed."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    target = int(fraction * tree.node_count)
-    removed = 0
-    for _ in range(target):
-        leaves = sorted(
-            (n for n in tree.iter_nodes() if not n.children),
-            key=lambda n: n.subsequence().sort_key(),
-        )
-        if not leaves:
-            break
-        tree.remove_node(leaves[rng.integers(len(leaves))])
-        removed += 1
-    return removed

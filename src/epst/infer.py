@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,14 +92,6 @@ def candidate_from_node(node: TreeNode) -> Candidate:
     )
 
 
-def select_representative(candidates: Iterable[Candidate]) -> Optional[Candidate]:
-    best = None
-    for cand in candidates:
-        if best is None or cand.rank_key() < best.rank_key():
-            best = cand
-    return best
-
-
 class _Rows(dict):
     """Channel -> estimate row. Prediction stores only rows with a nonzero
     cell; indexing a missing channel stores and returns an all-zero row."""
@@ -149,14 +141,6 @@ class PredictionMatrix:
             for channel, row in self.estimates.items() if any(row)
             for n, p in enumerate(row[: self.steps + 1]) if p
         ))
-
-    def to_csv(self) -> str:
-        lines = ["channel,n,probability"]
-        for channel in sorted(self.estimates):
-            row = self.estimates[channel]
-            for n, p in enumerate(row):
-                lines.append(f"{channel},{n},{p:.12g}")
-        return "\n".join(lines) + "\n"
 
 
 EventTable = Dict[int, List[Tuple[int, Tuple[int, ...]]]]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterator, List, Optional, Tuple
 
 from .events import Event, EventStream, LABEL_DROPPED, window_of
@@ -21,7 +23,7 @@ from .extensions import (
     record_false_positive,
 )
 from .infer import PredictionMatrix, context_events, predict_from_context, sampled_predict
-from .tree import EpstParams, EpstTree
+from .tree import EpstParams, EpstTree, learn_step
 from .vmm import VmmModel
 
 PRUNE_INTERVAL_EVENTS = 500
@@ -111,18 +113,11 @@ def run_epst(
                 window_step, window = step, window_of(stream, step, m)
             record_false_positive(trees[g], window)
 
-    # iterate events grouped by time
-    groups: List[Tuple[int, List[Event]]] = []
-    for e in visible:
-        if groups and groups[-1][0] == e.time:
-            groups[-1][1].append(e)
-        else:
-            groups.append((e.time, [e]))
-
     received = 0
     next_prune = PRUNE_INTERVAL_EVENTS
     last_resolved = -1
-    for t, evs in groups:
+    for t, group in groupby(visible, key=attrgetter("time")):
+        evs = list(group)
         if variant.inhibition:
             resolve_false_positives(last_resolved, t)
             # matched inhibitory patterns coinciding with actual spikes
@@ -143,12 +138,7 @@ def run_epst(
                     inhibitory_maintenance(trees[e.channel], hits)
         last_resolved = t
 
-        window = window_of(stream, t, m)
-        for e in evs:
-            for tree in trees:
-                tree.step1_denominators(e, window)
-        for e in sorted(evs, key=lambda e: e.channel):
-            trees[e.channel].step2_numerators_and_extend(window)
+        learn_step(trees, stream, t, evs)
         received += len(evs)
 
         if variant.pruning:

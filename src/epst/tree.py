@@ -8,14 +8,26 @@ subsequence as a cumulative-delay item list.
 Two spike-triggered learning steps maintain the per-node counts:
 step 1 (any spike) accumulates denominators n(s); step 2 (spike in the
 preferred channel) accumulates numerators n(s and g) and grows the tree.
+`learn_step` runs both for one time step, and `learn_stream` for a whole
+stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import groupby
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .events import Event, HistoryWindow, Item, Subsequence, canonical_items
+from .events import (
+    Event,
+    EventStream,
+    HistoryWindow,
+    Item,
+    Subsequence,
+    canonical_items,
+    window_of,
+)
 
 
 @dataclass
@@ -206,7 +218,9 @@ class EpstTree:
         p = self.params
         self.root_count += 1
         entries = window.sorted_entries()
-        matched = self.match_nodes_raw(window)
+        found = set()
+        _match_below(self.root, 0, entries, p.matching_interval, set(), found)
+        matched = sorted(found, key=TreeNode.sort_key)
         for node in matched:
             if not node.is_inhibitory:
                 node.numerator += 1
@@ -243,16 +257,6 @@ class EpstTree:
                 child.denominator = 1
                 grow.append(child)
 
-    # -- lookup ------------------------------------------------------------
-
-    def match_nodes_raw(self, window: HistoryWindow) -> List[TreeNode]:
-        """All nodes (any depth, no filtering) whose full path-subsequence
-        matches the window under the matching interval."""
-        entries = window.sorted_entries()
-        matched = set()
-        _match_below(self.root, 0, entries, self.params.matching_interval, set(), matched)
-        return sorted(matched, key=TreeNode.sort_key)
-
     # -- serialization -----------------------------------------------------
 
     def dump(self) -> str:
@@ -274,6 +278,30 @@ class EpstTree:
 
         walk(self.root, 1)
         return "\n".join(lines) + "\n"
+
+
+def learn_step(
+    trees: Sequence[EpstTree], stream: EventStream, t: int, events: Sequence[Event]
+) -> None:
+    """Both learning steps for the visible events at time t, which share
+    the history window at t: step 1 in every tree for each event, then
+    step 2 in the tree of each event's channel, in channel order. `trees`
+    holds one tree per channel, indexed by channel, with shared params."""
+    window = window_of(stream, t, trees[0].params.history_window)
+    for e in events:
+        for tree in trees:
+            tree.step1_denominators(e, window)
+    for e in sorted(events, key=attrgetter("channel")):
+        trees[e.channel].step2_numerators_and_extend(window)
+
+
+def learn_stream(stream: EventStream, params: EpstParams) -> List[EpstTree]:
+    """Fresh trees, one per channel, learned online over the whole stream
+    one time step at a time, with no prediction."""
+    trees = [EpstTree(g, params) for g in range(stream.num_channels)]
+    for t, events in groupby(stream.visible(), key=attrgetter("time")):
+        learn_step(trees, stream, t, list(events))
+    return trees
 
 
 def _count_subtree(node: TreeNode) -> int:

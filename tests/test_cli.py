@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from epst import cli
 from epst.cli import ExperimentConfig, main, run_experiment
 from epst.scenarios import SCENARIO_IDS, load_scenario, load_scenario_file
 
@@ -257,3 +258,22 @@ def test_main_config_file(tmp_path, tiny_cfg):
     code = run_main(["run", "--scenario-file", tiny_cfg, "--config", str(cfg)])
     assert code == 0
     assert os.path.exists(str(out_dir / "trace_tiny_epst.csv"))
+
+
+def test_main_flag_beats_config_file_beats_default(tmp_path, tiny_cfg, monkeypatch):
+    # a flag applies even when it equals its default; a file value applies
+    # only when the flag is absent
+    configs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: configs.append(config) or [])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nalgos = ppmc\nseeds = 1\nout = from_cfg\n")
+    base = ["run", "--scenario-file", tiny_cfg]
+    assert run_main(base + ["--config", str(cfg), "--seeds", "25", "--out", "out"]) == 0
+    assert run_main(base + ["--config", str(cfg), "--algos", "epst"]) == 0
+    assert run_main(base) == 0
+    got = [(c.algorithms, c.seeds, c.out_dir, c.dump_tree) for c in configs]
+    assert got == [
+        (("ppmc",), 25, "out", False),
+        (("epst",), 1, "from_cfg", False),
+        (("epst", "ppmc", "pst"), 25, "out", False),
+    ]

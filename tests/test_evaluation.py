@@ -17,8 +17,6 @@ from epst.evaluation import (
     false_positive_csv,
     next_event_probability,
     score_epst,
-    score_jitter,
-    score_random_noise,
     score_structured,
     score_vmm,
 )
@@ -182,8 +180,10 @@ def test_score_random_noise_ignores_noise_cells():
     )
     # a confident junk prediction sits exactly on the noise event
     run = make_run({(0, 15): 0.5, (1, 13): 0.9})
-    trace = score_random_noise(run, stream)
+    trace = score_epst(run, stream, "random_noise")
     assert trace.bins == [(0, 0.0, 1)]
+    # the pad applies to the jitter modes only
+    assert score_epst(run, stream, "random_noise", pad=3).bins == trace.bins
 
 
 def test_score_jitter_pad_window():
@@ -191,8 +191,8 @@ def test_score_jitter_pad_window():
     # the prediction landed 2 steps late; pad 2 stretches the window and
     # the allowed cells far enough to credit it
     run = make_run({(0, 17): 0.5})
-    assert score_jitter(run, stream, pad=2).bins == [(0, 0.0, 1)]
-    assert score_jitter(run, stream, pad=0).bins == [(0, 1.0, 1)]
+    assert score_epst(run, stream, "jitter", pad=2).bins == [(0, 0.0, 1)]
+    assert score_epst(run, stream, "jitter", pad=0).bins == [(0, 1.0, 1)]
 
 
 def test_score_dropout_scores_dropped_events():

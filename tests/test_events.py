@@ -1,11 +1,13 @@
-"""Event model tests: windows, subsequence enumeration, and tolerance
-matching, each checked against small independent oracles."""
+"""Event model tests: windows, subsequence enumeration, and the reference
+tolerance matcher (`epst.acceptance._injective_match`), each checked
+against small independent oracles."""
 
 import itertools
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from epst.acceptance import _injective_match
 from epst.events import (
     Event,
     EventStream,
@@ -14,9 +16,7 @@ from epst.events import (
     canonical_items,
     enumerate_subsequences,
     read_stream,
-    subsequence_matches,
     window_of,
-    write_stream,
 )
 from epst.infer import context_events
 
@@ -170,26 +170,22 @@ def match_oracle(items, entries, tol):
 
 
 def test_match_exact_subset():
-    w = HistoryWindow(frozenset({(3, 0), (7, 1), (11, 2)}), 16)
-    assert subsequence_matches(Subsequence(((3, 0), (11, 2))), w, 0)
-    assert not subsequence_matches(Subsequence(((4, 0),)), w, 0)
-    assert subsequence_matches(Subsequence(((4, 0),)), w, 1)
+    entries = [(3, 0), (7, 1), (11, 2)]
+    assert _injective_match(((3, 0), (11, 2)), entries, 0)
+    assert not _injective_match(((4, 0),), entries, 0)
+    assert _injective_match(((4, 0),), entries, 1)
 
 
 def test_match_requires_injectivity():
     # one window event cannot satisfy two items even when both are in range
-    w = HistoryWindow(frozenset({(5, 0)}), 16)
-    assert not subsequence_matches(Subsequence(((4, 0), (6, 0))), w, 2)
-    w2 = HistoryWindow(frozenset({(4, 0), (6, 0)}), 16)
-    assert subsequence_matches(Subsequence(((4, 0), (6, 0))), w2, 2)
+    assert not _injective_match(((4, 0), (6, 0)), [(5, 0)], 2)
+    assert _injective_match(((4, 0), (6, 0)), [(4, 0), (6, 0)], 2)
 
 
 def test_match_backtracking_case():
-    # greedy assignment of (5,0) to the window event at 5 would strand (6,0);
-    # the matcher must backtrack to 5->(6,...) no: items (5,0),(6,0) against
-    # entries (6,0),(7,0) with tol 1 requires the crossed assignment
-    w = HistoryWindow(frozenset({(6, 0), (7, 0)}), 16)
-    assert subsequence_matches(Subsequence(((5, 0), (6, 0))), w, 1)
+    # with tol 2, item (6,0) may take either entry; taking (4,0) first
+    # would strand item (4,0), which only (4,0) can satisfy
+    assert _injective_match(((6, 0), (4, 0)), [(4, 0), (7, 0)], 2)
 
 
 @given(
@@ -200,9 +196,8 @@ def test_match_backtracking_case():
 @settings(max_examples=200)
 def test_match_agrees_with_permutation_oracle(entries, raw_items, tol):
     items = canonical_items(set(raw_items))
-    sub = Subsequence(items)
-    w = HistoryWindow(frozenset(entries), 10)
-    assert subsequence_matches(sub, w, tol) == match_oracle(items, entries, tol)
+    window = HistoryWindow(frozenset(entries), 10).sorted_entries()
+    assert _injective_match(items, window, tol) == match_oracle(items, entries, tol)
 
 
 def test_subsequence_rejects_non_canonical():
@@ -221,7 +216,7 @@ def test_stream_round_trip(tmp_path):
         (Event(1, 0), Event(4, 2, "noise"), Event(9, 1, "dropped")), 4
     )
     path = tmp_path / "events.csv"
-    write_stream(path, stream)
+    path.write_text("".join(f"{e.time},{e.channel},{e.label}\n" for e in stream.events))
     back = read_stream(path, 4)
     assert back == stream
 

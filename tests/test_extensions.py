@@ -2,18 +2,16 @@
 
 import pytest
 
-from epst.events import HistoryWindow
+from epst.acceptance import random_stream
+from epst.events import Event, HistoryWindow
 from epst.extensions import (
     VARIANTS,
     inhibitory_maintenance,
     prune_entropy,
-    prune_random,
     record_false_positive,
 )
 from epst.infer import entropy, predict_from_context
-from epst.tree import EpstParams, EpstTree
-
-from test_tree import learn, random_pairs, stream_from
+from epst.tree import EpstParams, EpstTree, learn_stream
 
 
 def xor_params():
@@ -72,8 +70,6 @@ def test_inhibitory_counts_frozen_during_learning():
     record_false_positive(tree, HistoryWindow(frozenset({(10, 1), (10, 2)}), 32))
     pair = tree.root.children[(10, 1)].children[(10, 2)]
     window = HistoryWindow(frozenset({(10, 1), (10, 2)}), 32)
-    from epst.events import Event
-
     tree.step1_denominators(Event(50, 1), window)
     tree.step2_numerators_and_extend(window)
     assert (pair.numerator, pair.denominator) == (0, 0)
@@ -126,8 +122,8 @@ def test_prune_keeps_interior_with_surviving_descendant():
 @pytest.mark.parametrize("seed,threshold", [(3, 0.0), (4, 0.3), (5, 0.69)])
 def test_prune_entropy_postconditions(seed, threshold):
     p = EpstParams(history_window=16, max_spike_interval=16)
-    stream = stream_from(random_pairs(seed, 120, 4), 4)
-    tree = learn(stream, p, channels=[0])[0]
+    stream = random_stream(seed, 120, 4)
+    tree = learn_stream(stream, p)[0]
     before = {n.subsequence().items: (n.numerator, n.denominator) for n in tree.iter_nodes()}
     removed = prune_entropy(tree, threshold)
     after = list(tree.iter_nodes())
@@ -140,32 +136,6 @@ def test_prune_entropy_postconditions(seed, threshold):
         if not node.children and node.denominator >= 1:
             assert entropy(node.numerator, node.denominator) <= threshold + 1e-12
     _assert_index_consistent(tree)
-
-
-def test_prune_random_deterministic():
-    p = EpstParams(history_window=16, max_spike_interval=16)
-    stream = stream_from(random_pairs(6, 120, 4), 4)
-    t1 = learn(stream, p, channels=[0])[0]
-    t2 = learn(stream, p, channels=[0])[0]
-    n = t1.node_count
-    r1 = prune_random(t1, 0.5, seed=3)
-    r2 = prune_random(t2, 0.5, seed=3)
-    assert r1 == r2 == n // 2
-    assert t1.dump() == t2.dump()
-    assert t1.node_count == n - r1
-    _assert_index_consistent(t1)
-
-
-def test_prune_random_validation_and_extremes():
-    p = EpstParams(history_window=16, max_spike_interval=16)
-    stream = stream_from(random_pairs(7, 60, 3), 3)
-    tree = learn(stream, p, channels=[0])[0]
-    with pytest.raises(ValueError):
-        prune_random(tree, 1.5, seed=0)
-    assert prune_random(tree, 0.0, seed=0) == 0
-    n = tree.node_count
-    assert prune_random(tree, 1.0, seed=0) == n
-    assert tree.node_count == 0
 
 
 def _assert_index_consistent(tree):

@@ -1,6 +1,6 @@
 """Prediction tests. The full multi-step matcher is cross-checked against a
 naive oracle that rebuilds the history window at every step and matches
-every stored pattern independently."""
+every stored pattern independently with the reference matcher."""
 
 import math
 import pickle
@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epst.events import Event, EventStream, HistoryWindow, subsequence_matches, window_of
+from epst.acceptance import _injective_match, random_stream
+from epst.events import Event, EventStream, window_of
 from epst.extensions import record_false_positive
 from epst.infer import (
     Candidate,
@@ -24,11 +25,8 @@ from epst.infer import (
     predict_from_context,
     predict_window,
     sampled_predict,
-    select_representative,
 )
-from epst.tree import EpstParams, EpstTree
-
-from test_tree import learn, random_pairs, stream_from
+from epst.tree import EpstParams, EpstTree, learn_stream
 
 
 # ---------------------------------------------------------------------------
@@ -82,27 +80,26 @@ def cand(sub_items, num, den, inhibitory=False):
 def test_select_lowest_entropy_wins():
     a = cand(((3, 0),), 1, 2)   # H = ln 2
     b = cand(((5, 1),), 9, 10)  # lower entropy
-    assert select_representative([a, b]) is b
+    assert min([a, b], key=Candidate.rank_key) is b
 
 
 def test_select_tie_breaks():
     # equal entropy 0: longer subsequence wins
     short = cand(((3, 0),), 4, 4)
     long = cand(((3, 0), (5, 1)), 2, 2)
-    assert select_representative([short, long]) is long
+    assert min([short, long], key=Candidate.rank_key) is long
     # equal entropy and length: higher denominator wins
     weak = cand(((3, 0),), 2, 2)
     strong = cand(((4, 1),), 9, 9)
-    assert select_representative([weak, strong]) is strong
-    assert select_representative([]) is None
+    assert min([weak, strong], key=Candidate.rank_key) is strong
 
 
 def test_rank_key_matches_candidate_rank_key():
     p = EpstParams(history_window=12, max_subseq_len=3, max_spike_interval=12)
-    stream = stream_from(random_pairs(31, 60, 3), 3)
+    stream = random_stream(31, 60, 3)
     rng = np.random.default_rng(3)
     inhibitory = 0
-    for tree in learn(stream, p):
+    for tree in learn_stream(stream, p):
         for e in stream.events[20:50:6]:
             record_false_positive(tree, window_of(stream, e.time, p.history_window))
         nodes = [n for n in tree.iter_nodes() if n.is_inhibitory or n.denominator >= 1]
@@ -147,8 +144,8 @@ def test_step_rows_match_interval_formula(m, mp, tol):
 def test_tree_delays_stay_within_history_window():
     # the step rows are indexed by cumulative delay up to M + tol
     p = EpstParams(history_window=12, max_subseq_len=3, max_spike_interval=12)
-    stream = stream_from(random_pairs(32, 80, 3), 3)
-    trees = learn(stream, p)
+    stream = random_stream(32, 80, 3)
+    trees = learn_stream(stream, p)
     for tree in trees:
         for e in stream.events[20:70:5]:
             record_false_positive(tree, window_of(stream, e.time, p.history_window))
@@ -174,8 +171,8 @@ def test_sparse_rows():
 
 def test_predicted_rows_are_nonzero():
     p = EpstParams(history_window=16, max_spike_interval=16)
-    stream = stream_from(random_pairs(9, 80, 4), 4)
-    trees = learn(stream, p)
+    stream = random_stream(9, 80, 4)
+    trees = learn_stream(stream, p)
     stored = 0
     for e in stream.events[30::5]:
         matrix = predict_window(trees, stream, e.time)
@@ -187,6 +184,12 @@ def test_predicted_rows_are_nonzero():
 
 # ---------------------------------------------------------------------------
 # full prediction vs naive per-step oracle
+
+
+def window_entries(events, time, m):
+    """The sorted entries of the history window at `time` of a (time,
+    channel) context."""
+    return sorted({(time - tk, c) for tk, c in events if 1 <= time - tk <= m})
 
 
 def naive_matrix(trees, events, t):
@@ -203,12 +206,7 @@ def naive_matrix(trees, events, t):
         row = [0.0] * (steps + 1)
         masks = {}
         for n in range(p.prediction_window + 1):
-            entries = frozenset(
-                (t + n - time, c)
-                for time, c in events
-                if 1 <= t + n - time <= p.history_window
-            )
-            window = HistoryWindow(entries, p.history_window)
+            entries = window_entries(events, t + n, p.history_window)
             best = None
             for node in tree.iter_nodes():
                 if not node.is_inhibitory:
@@ -216,9 +214,7 @@ def naive_matrix(trees, events, t):
                         continue
                     if node.denominator < max(p.frequency_threshold, 1):
                         continue
-                if not subsequence_matches(
-                    node.subsequence(), window, p.matching_interval
-                ):
+                if not _injective_match(node.subsequence().items, entries, p.matching_interval):
                     continue
                 if node.is_inhibitory:
                     masks[node] = masks.get(node, 0) | 1 << n
@@ -256,8 +252,8 @@ def test_prediction_matches_naive_oracle(seed, tol):
         max_spike_interval=16,
         matching_interval=tol,
     )
-    stream = stream_from(random_pairs(seed, 80, 4), 4)
-    trees = learn(stream, p)
+    stream = random_stream(seed, 80, 4)
+    trees = learn_stream(stream, p)
     for t in (stream.events[40].time, stream.events[60].time, stream.events[-1].time):
         assert_matches_oracle(trees, context_events(stream, t, p.history_window), t)
 
@@ -272,8 +268,8 @@ def test_prediction_matches_naive_oracle_property(seed):
         max_spike_interval=12,
         min_subseq_len=1,
     )
-    stream = stream_from(random_pairs(seed, 40, 3), 3)
-    trees = learn(stream, p)
+    stream = random_stream(seed, 40, 3)
+    trees = learn_stream(stream, p)
     t = stream.events[30].time
     assert_matches_oracle(trees, context_events(stream, t, p.history_window), t)
 
@@ -294,8 +290,8 @@ def test_prediction_with_inhibitory_matches_naive_oracle(min_len, frequency_thre
         frequency_threshold=frequency_threshold,
         matching_interval=tol,
     )
-    stream = stream_from(random_pairs(20 + min_len, 60, 3), 3)
-    trees = learn(stream, p)
+    stream = random_stream(20 + min_len, 60, 3)
+    trees = learn_stream(stream, p)
     for tree in trees:
         for e in stream.events[20:50:6]:
             record_false_positive(tree, window_of(stream, e.time, p.history_window))
@@ -310,7 +306,7 @@ def test_prediction_with_inhibitory_matches_naive_oracle(min_len, frequency_thre
 
 def test_trees_with_different_windows_match_naive_oracle():
     # trees that differ in M, M' or tol must not share an event table
-    stream = stream_from(random_pairs(15, 80, 4), 4)
+    stream = random_stream(15, 80, 4)
     trees = []
     for g, (m, mp, tol) in enumerate([(16, 12, 0), (10, 12, 0), (16, 6, 0), (16, 12, 2)]):
         p = EpstParams(
@@ -319,7 +315,7 @@ def test_trees_with_different_windows_match_naive_oracle():
             max_spike_interval=16,
             matching_interval=tol,
         )
-        trees += learn(stream, p, channels=[g])
+        trees.append(learn_stream(stream, p)[g])
     for t in (stream.events[40].time, stream.events[-1].time):
         assert_matches_oracle(trees, context_events(stream, t, 16), t)
 
@@ -342,7 +338,7 @@ def test_zero_probability_winner_stores_no_cell():
 
 def test_fresh_trees_predict_all_zero():
     trees = [EpstTree(g, EpstParams()) for g in range(3)]
-    stream = stream_from([(5, 0), (9, 1)], 3)
+    stream = EventStream((Event(5, 0), Event(9, 1)), 3)
     matrix = predict_window(trees, stream, 10)
     assert all(all(v == 0.0 for v in row) for row in matrix.estimates.values())
     assert matrix.chosen == {}
@@ -358,8 +354,8 @@ def test_context_events_bounds():
 
 def test_chosen_records_explain_cells():
     p = EpstParams(history_window=16, max_spike_interval=16)
-    stream = stream_from(random_pairs(9, 80, 4), 4)
-    trees = learn(stream, p)
+    stream = random_stream(9, 80, 4)
+    trees = learn_stream(stream, p)
     t = stream.events[-1].time
     matrix = predict_window(trees, stream, t)
     for (g, n), c in matrix.chosen.items():
@@ -368,20 +364,18 @@ def test_chosen_records_explain_cells():
             assert c.probability == estimate_probability(c.numerator, c.denominator)
 
 
-def test_matrix_csv_format():
+def test_matrix_single_pattern_probability():
     p = EpstParams(
         history_window=16, prediction_window=4, max_spike_interval=16, min_subseq_len=1
     )
-    stream = stream_from([(10, 1), (15, 0), (30, 1), (35, 0), (48, 1)], 2)
-    tree = learn(stream, p, channels=[0])[0]
+    stream = EventStream(
+        (Event(10, 1), Event(15, 0), Event(30, 1), Event(35, 0), Event(48, 1)), 2
+    )
+    tree = learn_stream(stream, p)[0]
     matrix = predict_window([tree], stream, 50)
-    csv = matrix.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "channel,n,probability"
-    assert len(lines) == 1 + 5  # one row per step 0..4
+    assert matrix.steps == 4
     # the stored single (5,1) with counts (2,3) matches at 50 + n = 48 + 5
-    got = {tuple(l.split(",")[:2]): float(l.split(",")[2]) for l in lines[1:]}
-    assert got[("0", "3")] == pytest.approx(2 / 3)
+    assert matrix.probability(0, 3) == pytest.approx(2 / 3)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +384,8 @@ def test_matrix_csv_format():
 
 def test_oversized_sample_equals_full():
     p = EpstParams(history_window=16, max_spike_interval=16)
-    stream = stream_from(random_pairs(11, 80, 4), 4)
-    trees = learn(stream, p)
+    stream = random_stream(11, 80, 4)
+    trees = learn_stream(stream, p)
     t = stream.events[-1].time
     full = predict_window(trees, stream, t)
     k = len(context_events(stream, t, p.history_window))
@@ -403,24 +397,26 @@ def test_oversized_sample_equals_full():
 
 def test_sampling_deterministic_and_bounded():
     p = EpstParams(history_window=16, max_spike_interval=16)
-    stream = stream_from(random_pairs(12, 80, 4), 4)
-    trees = learn(stream, p)
+    stream = random_stream(12, 80, 4)
+    trees = learn_stream(stream, p)
     t = stream.events[-1].time
     a = sampled_predict(trees, stream, t, 3, 4, seed=42)
     b = sampled_predict(trees, stream, t, 3, 4, seed=42)
     assert a.estimates == b.estimates
-    # every nonzero cell must also be produced by the full prediction
-    full = predict_window(trees, stream, t)
-    for g, row in a.estimates.items():
-        for n, v in enumerate(row):
-            if v > 0.0:
-                assert (g, n) in a.chosen
+    assert a.cells
+    # a sampled context is a subset of the full one, so the pattern behind
+    # every nonzero cell also matches the full context's window at t + n
+    events = context_events(stream, t, p.history_window)
+    for n, g, _ in a.cells:
+        entries = window_entries(events, t + n, p.history_window)
+        items = a.chosen[(g, n)].subsequence.items
+        assert _injective_match(items, entries, p.matching_interval)
 
 
 def test_sampled_equals_max_over_single_runs():
     p = EpstParams(history_window=16, max_spike_interval=16, min_subseq_len=1)
-    stream = stream_from(random_pairs(13, 60, 3), 3)
-    trees = learn(stream, p)
+    stream = random_stream(13, 60, 3)
+    trees = learn_stream(stream, p)
     t = stream.events[-1].time
     events = context_events(stream, t, p.history_window)
     repeats, k = 6, 4
@@ -441,7 +437,7 @@ def test_sampled_equals_max_over_single_runs():
 
 def test_sampling_argument_validation():
     trees = [EpstTree(0, EpstParams())]
-    stream = stream_from([(5, 0)], 1)
+    stream = EventStream((Event(5, 0),), 1)
     with pytest.raises(ValueError):
         sampled_predict(trees, stream, 10, 0, 3, seed=0)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import pytest
 
 from epst import runner
+from epst.acceptance import random_stream
 from epst.datagen import (
     add_random_events,
     add_structured_interference,
@@ -13,8 +14,6 @@ from epst.events import Event, EventStream, window_of
 from epst.extensions import FALSE_POSITIVE_THRESHOLD, VARIANTS
 from epst.runner import SamplingConfig, run_epst, run_vmm
 from epst.tree import EpstParams
-
-from test_tree import random_pairs, stream_from
 
 
 def test_one_trigger_per_event_time():
@@ -40,7 +39,9 @@ def test_learning_precedes_prediction():
     # presentation: the presentation's own denominator pass has diluted
     # every stored pattern to 1/2 by the time the trigger fires, so the
     # correct cell carries exactly that estimate (not 0)
-    stream = stream_from([(10, 1), (13, 2), (17, 0), (110, 1), (113, 2)], 3)
+    stream = EventStream(
+        (Event(10, 1), Event(13, 2), Event(17, 0), Event(110, 1), Event(113, 2)), 3
+    )
     run = run_epst(
         stream,
         EpstParams(branch_extension_threshold=0, min_subseq_len=1),
@@ -53,7 +54,7 @@ def test_learning_precedes_prediction():
 
 
 def test_run_is_deterministic():
-    stream = stream_from(random_pairs(21, 150, 5), 5)
+    stream = random_stream(21, 150, 5)
     a = run_epst(stream, EpstParams(), VARIANTS["epst_ip"])
     b = run_epst(stream, EpstParams(), VARIANTS["epst_ip"])
     assert a.trigger_times == b.trigger_times
@@ -62,7 +63,7 @@ def test_run_is_deterministic():
 
 
 def test_plain_variant_never_stores_inhibitory():
-    stream = stream_from(random_pairs(22, 150, 5), 5)
+    stream = random_stream(22, 150, 5)
     run = run_epst(stream, EpstParams(branch_extension_threshold=0))
     assert all(
         not node.is_inhibitory for tree in run.trees for node in tree.iter_nodes()
@@ -70,7 +71,7 @@ def test_plain_variant_never_stores_inhibitory():
 
 
 def test_pruning_variant_bounds_tree_size():
-    stream = stream_from(random_pairs(23, 600, 5), 5)
+    stream = random_stream(23, 600, 5)
     params = EpstParams(branch_extension_threshold=0)
     plain = run_epst(stream, params)
     pruned = run_epst(stream, params, VARIANTS["epst_p"])
@@ -80,14 +81,14 @@ def test_pruning_variant_bounds_tree_size():
 
 
 def test_sampling_config_path():
-    stream = stream_from(random_pairs(24, 120, 4), 4)
+    stream = random_stream(24, 120, 4)
     run = run_epst(stream, EpstParams(), sampling=SamplingConfig(6, 3, seed=1))
     again = run_epst(stream, EpstParams(), sampling=SamplingConfig(6, 3, seed=1))
     assert [m.estimates for m in run.matrices] == [m.estimates for m in again.matrices]
 
 
 def test_run_vmm_counts_every_event():
-    stream = stream_from(random_pairs(25, 80, 4), 4)
+    stream = random_stream(25, 80, 4)
     run = run_vmm(stream, "ppmc")
     assert len(run.events) == len(run.probabilities) == 80
     assert all(p is not None for p in run.probabilities[1:])

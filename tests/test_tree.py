@@ -1,11 +1,11 @@
-"""Learning tests: the tree's per-node counters are cross-checked against a
-flat-dictionary replay oracle and a few fully hand-worked episodes."""
-
-from typing import Dict, List, Tuple
+"""Learning tests: the tree's per-node counters are cross-checked against the
+flat-dictionary replay oracle (`epst.acceptance.replay_counts`) and a few
+fully hand-worked episodes."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epst.acceptance import random_stream, replay_counts, tree_counts
 from epst.events import Event, EventStream, canonical_items, window_of
 from epst.extensions import (
     FALSE_NEGATIVE_LIMIT,
@@ -13,104 +13,14 @@ from epst.extensions import (
     prune_entropy,
     record_false_positive,
 )
-from epst.tree import EpstParams, EpstTree
-
-Items = Tuple[Tuple[int, int], ...]
+from epst.tree import EpstParams, EpstTree, learn_stream
 
 
-# ---------------------------------------------------------------------------
-# oracle: re-derive every stored subsequence's counts with a flat dict
-
-
-def _assign(items, entries, tol):
-    if not items:
-        return True
-    d, c = items[0]
-    for i, (wd, wc) in enumerate(entries):
-        if wc == c and abs(wd - d) <= tol:
-            if _assign(items[1:], entries[:i] + entries[i + 1:], tol):
-                return True
-    return False
-
-
-def replay_oracle(stream: EventStream, p: EpstParams, g: int) -> Dict[Items, Tuple[int, int]]:
-    counts: Dict[Items, List[int]] = {}
-    groups: Dict[int, List[Event]] = {}
-    for e in stream.visible():
-        groups.setdefault(e.time, []).append(e)
-    for t in sorted(groups):
-        entries = sorted(
-            (t - e.time, e.channel)
-            for e in stream.visible()
-            if t - p.history_window <= e.time < t
-        )
-        for e in groups[t]:
-            for items, nd in counts.items():
-                if items[0][1] != e.channel:
-                    continue
-                rest = tuple((d - items[0][0], c) for d, c in items[1:])
-                if _assign(rest, entries, p.matching_interval):
-                    nd[1] += 1
-        for e in sorted(groups[t], key=lambda ev: ev.channel):
-            if e.channel != g:
-                continue
-            # only fresh singles and subsequences that matched this window
-            # may grow, and only once past the extension threshold
-            grow: List[Items] = []
-            for items, nd in counts.items():
-                if _assign(items, entries, p.matching_interval):
-                    nd[0] += 1
-                    grow.append(items)
-            if p.max_subseq_len >= 1:
-                for entry in entries:
-                    if entry[0] <= p.max_spike_interval and (entry,) not in counts:
-                        counts[(entry,)] = [1, 1]
-                        grow.append((entry,))
-            while grow:
-                items = grow.pop()
-                if counts[items][0] <= p.branch_extension_threshold:
-                    continue
-                if len(items) >= p.max_subseq_len:
-                    continue
-                for entry in entries:
-                    if entry <= items[-1]:
-                        continue
-                    if entry[0] - items[-1][0] > p.max_spike_interval:
-                        continue
-                    ext = items + (entry,)
-                    if ext not in counts:
-                        counts[ext] = [1, 1]
-                        grow.append(ext)
-    return {items: (nd[0], nd[1]) for items, nd in counts.items()}
-
-
-def learn(stream: EventStream, params: EpstParams, channels=None) -> List[EpstTree]:
-    cs = range(stream.num_channels) if channels is None else channels
-    trees = [EpstTree(g, params) for g in cs]
-    groups: Dict[int, List[Event]] = {}
-    for e in stream.visible():
-        groups.setdefault(e.time, []).append(e)
-    by_g = {tree.g: tree for tree in trees}
-    for t in sorted(groups):
-        window = window_of(stream, t, params.history_window)
-        for e in groups[t]:
-            for tree in trees:
-                tree.step1_denominators(e, window)
-        for e in sorted(groups[t], key=lambda ev: ev.channel):
-            if e.channel in by_g:
-                by_g[e.channel].step2_numerators_and_extend(window)
-    return trees
-
-
-def counts_of(tree: EpstTree) -> Dict[Items, Tuple[int, int]]:
-    return {
-        node.subsequence().items: (node.numerator, node.denominator)
-        for node in tree.iter_nodes()
-    }
-
-
-def stream_from(pairs, num_channels):
-    return EventStream(tuple(Event(t, c) for t, c in pairs), num_channels)
+def one_shot_stream():
+    """One presentation of a 4-event pattern on channels 1-4, then g = 0."""
+    return EventStream(
+        (Event(10, 1), Event(13, 2), Event(16, 3), Event(20, 4), Event(27, 0)), 5
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +30,12 @@ def stream_from(pairs, num_channels):
 def test_single_item_counts_hand_worked():
     # channel-1 spike 5 steps before g three times total, but the third
     # occurrence is never followed by g: numerator 2, denominator 3
-    stream = stream_from([(10, 1), (15, 0), (30, 1), (35, 0), (50, 1)], 2)
+    stream = EventStream(
+        (Event(10, 1), Event(15, 0), Event(30, 1), Event(35, 0), Event(50, 1)), 2
+    )
     p = EpstParams(history_window=16, max_spike_interval=16)
-    tree = learn(stream, p, channels=[0])[0]
-    assert counts_of(tree) == {((5, 1),): (2, 3)}
+    tree = learn_stream(stream, p)[0]
+    assert tree_counts(tree) == {((5, 1),): (2, 3)}
     assert tree.root_count == 2
     assert tree.node_count == 1
 
@@ -131,15 +43,15 @@ def test_single_item_counts_hand_worked():
 def test_extension_waits_for_second_confirmation():
     # two presentations of (ch1, ch2) -> g; the depth-2 chain may only
     # appear once the singles' numerators exceed the threshold of 1
-    first = [(10, 1), (12, 2), (15, 0)]
-    second = [(30, 1), (32, 2), (35, 0)]
+    first = (Event(10, 1), Event(12, 2), Event(15, 0))
+    second = (Event(30, 1), Event(32, 2), Event(35, 0))
     p = EpstParams(history_window=16, max_spike_interval=16)
 
-    tree1 = learn(stream_from(first, 3), p, channels=[0])[0]
-    assert counts_of(tree1) == {((3, 2),): (1, 1), ((5, 1),): (1, 1)}
+    tree1 = learn_stream(EventStream(first, 3), p)[0]
+    assert tree_counts(tree1) == {((3, 2),): (1, 1), ((5, 1),): (1, 1)}
 
-    tree2 = learn(stream_from(first + second, 3), p, channels=[0])[0]
-    assert counts_of(tree2) == {
+    tree2 = learn_stream(EventStream(first + second, 3), p)[0]
+    assert tree_counts(tree2) == {
         ((3, 2),): (2, 2),
         ((5, 1),): (2, 2),
         ((3, 2), (5, 1)): (1, 1),
@@ -148,22 +60,24 @@ def test_extension_waits_for_second_confirmation():
 
 def test_one_shot_builds_full_power_set():
     # with extension threshold 0 a single example stores all 2^4 - 1 subsets
-    stream = stream_from([(10, 1), (13, 2), (16, 3), (20, 4), (27, 0)], 5)
+    stream = one_shot_stream()
     p = EpstParams(branch_extension_threshold=0)
-    tree = learn(stream, p, channels=[0])[0]
+    tree = learn_stream(stream, p)[0]
     assert tree.node_count == 15
-    assert all(nd == (1, 1) for nd in counts_of(tree).values())
-    assert ((7, 4), (11, 3), (14, 2), (17, 1)) in counts_of(tree)
+    assert all(nd == (1, 1) for nd in tree_counts(tree).values())
+    assert ((7, 4), (11, 3), (14, 2), (17, 1)) in tree_counts(tree)
 
 
 def test_history_window_and_interval_limits():
     # the ch1 event is 40 steps old (outside M=32): no node for it; the
     # ch2 event at delay 25 exceeds max_spike_interval so it never enters
     # as a single, yet it still chains below ch3 (gap 20 <= 20)
-    stream = stream_from([(0, 1), (15, 2), (35, 3), (40, 0), (41, 0)], 4)
+    stream = EventStream(
+        (Event(0, 1), Event(15, 2), Event(35, 3), Event(40, 0), Event(41, 0)), 4
+    )
     p = EpstParams(branch_extension_threshold=0, max_spike_interval=20)
-    tree = learn(stream, p, channels=[0])[0]
-    got = counts_of(tree)
+    tree = learn_stream(stream, p)[0]
+    got = tree_counts(tree)
     assert all(item[1] != 1 for items in got for item in items)
     assert ((5, 3),) in got
     assert ((25, 2),) not in got and ((26, 2),) not in got
@@ -172,28 +86,18 @@ def test_history_window_and_interval_limits():
 
 
 def test_max_depth_respected():
-    stream = stream_from(
-        [(10, 1), (12, 2), (14, 3), (16, 4), (20, 0), (40, 0)], 5
+    stream = EventStream(
+        (Event(10, 1), Event(12, 2), Event(14, 3), Event(16, 4), Event(20, 0), Event(40, 0)),
+        5,
     )
     p = EpstParams(branch_extension_threshold=0, max_subseq_len=2)
-    tree = learn(stream, p, channels=[0])[0]
+    tree = learn_stream(stream, p)[0]
     assert max(node.depth for node in tree.iter_nodes()) == 2
-    assert max(len(items) for items in counts_of(tree)) == 2
+    assert max(len(items) for items in tree_counts(tree)) == 2
 
 
 # ---------------------------------------------------------------------------
 # oracle cross-check
-
-
-def random_pairs(seed, n, channels):
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    t, out = 0, []
-    for _ in range(n):
-        t += int(rng.integers(1, 9))
-        out.append((t, int(rng.integers(0, channels))))
-    return out
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -205,11 +109,10 @@ def test_counts_match_replay_oracle(seed, tol):
         max_spike_interval=16,
         matching_interval=tol,
     )
-    stream = stream_from(random_pairs(seed, 60, 4), 4)
-    for g in range(4):
-        tree = learn(stream, p, channels=[g])[0]
-        assert counts_of(tree) == replay_oracle(stream, p, g)
-        assert tree.node_count == len(counts_of(tree))
+    stream = random_stream(seed, 60, 4)
+    for g, tree in enumerate(learn_stream(stream, p)):
+        assert tree_counts(tree) == replay_counts(stream, p, g)
+        assert tree.node_count == len(tree_counts(tree))
 
 
 @given(st.integers(0, 10 ** 6), st.integers(0, 2))
@@ -222,9 +125,9 @@ def test_counts_match_replay_oracle_property(seed, et):
         max_spike_interval=12,
         branch_extension_threshold=et,
     )
-    stream = stream_from(random_pairs(seed, 30, 3), 3)
-    tree = learn(stream, p, channels=[0])[0]
-    assert counts_of(tree) == replay_oracle(stream, p, 0)
+    stream = random_stream(seed, 30, 3)
+    tree = learn_stream(stream, p)[0]
+    assert tree_counts(tree) == replay_counts(stream, p, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +135,13 @@ def test_counts_match_replay_oracle_property(seed, et):
 
 
 def test_remove_node_updates_counts_and_index():
-    stream = stream_from([(10, 1), (13, 2), (16, 3), (20, 4), (27, 0)], 5)
-    tree = learn(stream, EpstParams(branch_extension_threshold=0), channels=[0])[0]
+    tree = learn_stream(one_shot_stream(), EpstParams(branch_extension_threshold=0))[0]
     victim = tree.root.children[(7, 4)]
     removed = 1 + sum(1 for _ in _walk(victim))
     before = tree.node_count
     tree.remove_node(victim)
     assert tree.node_count == before - removed
     assert (7, 4) not in tree.root.children
-    assert all(
-        child in group
-        for node in _all_nodes(tree)
-        for group in [node.by_channel]
-        for child in []
-    )
     for node in [tree.root, *tree.iter_nodes()]:
         regrouped = {}
         for child in node.children.values():
@@ -261,10 +157,6 @@ def _walk(node):
         yield from _walk(child)
 
 
-def _all_nodes(tree):
-    return [tree.root, *tree.iter_nodes()]
-
-
 def assert_branching_index(tree):
     root = tree.root
     expected = {
@@ -275,8 +167,8 @@ def assert_branching_index(tree):
 
 def test_sort_key_kept_through_maintenance():
     p = EpstParams(history_window=16, max_spike_interval=16, max_subseq_len=3)
-    stream = stream_from(random_pairs(14, 80, 4), 4)
-    tree = learn(stream, p, channels=[0])[0]
+    stream = random_stream(14, 80, 4)
+    tree = learn_stream(stream, p)[0]
     assert_branching_index(tree)
     assert tree.root.branching
     for node in tree.iter_nodes():
@@ -335,9 +227,9 @@ def test_branching_index_follows_attach_and_detach():
 
 
 def test_dump_round_trip_format():
-    stream = stream_from([(10, 1), (15, 0), (30, 1), (35, 0)], 2)
+    stream = EventStream((Event(10, 1), Event(15, 0), Event(30, 1), Event(35, 0)), 2)
     p = EpstParams(history_window=16, max_spike_interval=16)
-    tree = learn(stream, p, channels=[0])[0]
+    tree = learn_stream(stream, p)[0]
     assert tree.dump() == (
         "tree g=0 root_count=2 nodes=1\n"
         "  (5,1,2,2,0)\n"
