@@ -484,9 +484,9 @@ def check_invariants() -> CriterionResult:
     )
 
 
-def check_performance(repeats: int = 15) -> CriterionResult:
+def check_performance() -> CriterionResult:
     """Downsampled prediction (8 events, 4 repeats) is at least 3x faster
-    than the full prediction on dense windows, and the downsampled run
+    than the full prediction on 15 dense windows, and the downsampled run
     still clears the structured clean-error bar at 0.08."""
     scenario = load_scenario("structured_same")
     stream = scenario.build_stream(0)
@@ -496,7 +496,7 @@ def check_performance(repeats: int = 15) -> CriterionResult:
     dense = stream
     for s in range(70, 110):
         dense = add_random_events(dense, s, [(8000, 9000)])
-    triggers = sorted({e.time for e in dense.events if 8200 < e.time < 9000})[:repeats]
+    triggers = sorted({e.time for e in dense.events if 8200 < e.time < 9000})[:15]
 
     t0 = time.perf_counter()
     for t in triggers:

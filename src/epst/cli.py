@@ -73,9 +73,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
+        if not self.algorithms:
+            raise ValueError("no algorithms given")
         unknown = [a for a in self.algorithms if a not in ALL_ALGOS]
         if unknown:
             raise ValueError(f"unknown algorithms: {', '.join(unknown)}")
+        # a repeated algorithm would run every job and write every file twice
+        repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
+        if repeated:
+            raise ValueError(f"repeated algorithms: {', '.join(repeated)}")
         # more worker processes than cores only add start-up cost and memory
         self.workers = max(1, min(self.workers, os.cpu_count() or 1))
         self.params = EpstParams(**{**self.scenario.epst_overrides, **self.param_overrides})
@@ -220,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     runp.add_argument(
         "--algos",
-        help=f"comma separated subset of {', '.join(ALL_ALGOS)} "
+        help=f"comma separated, non-empty and distinct subset of {', '.join(ALL_ALGOS)} "
         f"(default {','.join(DEFAULT_ALGOS)})",
     )
     # None when absent, so that a config file value can apply (RUN_DEFAULTS)

@@ -7,8 +7,7 @@ apart. All generators are pure functions of their seeds and parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -71,22 +70,21 @@ def add_structured_interference(
     stream: EventStream,
     pattern_seed: int,
     intervals: Sequence[Interval],
-    cycle_length: int = INTERFERENCE_CYCLE_LENGTH,
 ) -> EventStream:
     """Overlay an independently generated cyclic pattern inside each
     interval. The same pattern_seed reproduces the same overlay pattern in
     every interval."""
     rng = np.random.default_rng(pattern_seed)
-    channels, delays = _cycle(rng, cycle_length, stream.num_channels)
+    channels, delays = _cycle(rng, INTERFERENCE_CYCLE_LENGTH, stream.num_channels)
     extra = []
     for start, end in intervals:
         t = start
         k = 0
         while True:
-            t += int(delays[k % cycle_length])
+            t += int(delays[k % len(delays)])
             if t >= end:
                 break
-            extra.append(Event(t, int(channels[k % cycle_length]), LABEL_INTERFERENCE))
+            extra.append(Event(t, int(channels[k % len(channels)]), LABEL_INTERFERENCE))
             k += 1
     return _merge(stream, extra)
 

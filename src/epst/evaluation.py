@@ -31,6 +31,7 @@ from .events import (
     LABEL_INTERFERENCE,
     LABEL_SIGNAL,
 )
+from .extensions import FALSE_POSITIVE_THRESHOLD
 from .runner import EpstRunResult, VmmRunResult
 
 DEFAULT_BIN_WIDTH = 250
@@ -310,13 +311,11 @@ def aggregate_runs(traces: Sequence[ErrorTrace]) -> ErrorTrace:
 def count_false_positives(
     run: EpstRunResult,
     stream: EventStream,
-    threshold: float = 0.5,
     bin_width: int = DEFAULT_BIN_WIDTH,
 ) -> List[Tuple[int, int]]:
-    """Binned counts of confidently predicted cells with no true
+    """Binned counts of confidently predicted cells (at least
+    FALSE_POSITIVE_THRESHOLD, the bar in-run resolution uses) with no true
     (signal/interference/dropped) event."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must be in (0, 1]")
     true_cells = {
         (e.channel, e.time) for e in stream.events if e.label in TRUE_EVENT_LABELS
     }
@@ -325,7 +324,7 @@ def count_false_positives(
     for start in range(0, span + 1, bin_width):
         counts[start] = 0
     for step, c, p in run.cells_between(-1, span):
-        if p >= threshold and (c, step) not in true_cells:
+        if p >= FALSE_POSITIVE_THRESHOLD and (c, step) not in true_cells:
             counts[(step // bin_width) * bin_width] += 1
     return sorted(counts.items())
 

@@ -104,24 +104,19 @@ def canonical_items(items: Iterable[Item]) -> Tuple[Item, ...]:
 
 @dataclass(frozen=True)
 class HistoryWindow:
-    """Relative view of the recent past: a set of (delay, channel) pairs
-    with 0 < delay <= window_length."""
+    """Relative view of the recent past: the distinct (delay, channel)
+    pairs with 0 < delay <= window_length, given in any order and stored
+    in canonical order, so that consumers need not sort them."""
 
-    entries: frozenset
+    entries: Tuple[Item, ...]
     window_length: int
 
     def __post_init__(self):
-        entries = frozenset(self.entries)
+        entries = canonical_items(set(self.entries))
         object.__setattr__(self, "entries", entries)
         for d, _c in entries:
             if not (0 < d <= self.window_length):
                 raise ValueError(f"delay {d} outside (0, {self.window_length}]")
-
-    def sorted_entries(self) -> Tuple[Item, ...]:
-        return canonical_items(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -152,7 +147,7 @@ def window_of(stream: EventStream, t: int, m: int) -> HistoryWindow:
     if t < 0:
         raise ValueError("reference time must be >= 0")
     entries = {(t - e.time, e.channel) for e in stream.visible_between(t - m, t)}
-    return HistoryWindow(frozenset(entries), m)
+    return HistoryWindow(entries, m)
 
 
 def enumerate_subsequences(
@@ -165,7 +160,7 @@ def enumerate_subsequences(
     """
     if not (1 <= min_len <= max_len):
         raise ValueError("need 1 <= min_len <= max_len")
-    entries = window.sorted_entries()
+    entries = window.entries
     out = []
     for k in range(min_len, min(max_len, len(entries)) + 1):
         for combo in combinations(entries, k):

@@ -16,6 +16,9 @@ from .events import HistoryWindow, enumerate_subsequences
 from .infer import entropy
 from .tree import EpstTree, InhibitoryRecord, TreeNode
 
+# a cell estimated at or above this is a confident prediction: without an
+# event there, in-run resolution learns from it and count_false_positives
+# counts it
 FALSE_POSITIVE_THRESHOLD = 0.5
 # an inhibitory pattern survives this many false negatives; the next one
 # destroys it
@@ -26,16 +29,15 @@ FALSE_NEGATIVE_LIMIT = 3
 class Variant:
     """EPST variant selector: plain, inhibition, pruning, or both."""
 
-    name: str
     inhibition: bool
     pruning: bool
 
 
 VARIANTS = {
-    "epst": Variant("epst", False, False),
-    "epst_i": Variant("epst_i", True, False),
-    "epst_p": Variant("epst_p", False, True),
-    "epst_ip": Variant("epst_ip", True, True),
+    "epst": Variant(False, False),
+    "epst_i": Variant(True, False),
+    "epst_p": Variant(False, True),
+    "epst_ip": Variant(True, True),
 }
 
 
@@ -100,10 +102,10 @@ def inhibitory_maintenance(
     return removed
 
 
-def prune_entropy(tree: EpstTree, entropy_threshold: float, epsilon: float = 1e-12) -> int:
-    """Remove excitatory nodes whose entropy exceeds the threshold (plus a
-    float-noise epsilon). Subtrees are removed atomically: a node with a
-    surviving descendant stays as structure with its counts intact.
+def prune_entropy(tree: EpstTree) -> int:
+    """Remove excitatory nodes with a nonzero entropy, i.e. an estimate
+    strictly between 0 and 1. Subtrees are removed atomically: a node with
+    a surviving descendant stays as structure with its counts intact.
     Returns the number of nodes removed."""
 
     removed = 0
@@ -124,7 +126,7 @@ def prune_entropy(tree: EpstTree, entropy_threshold: float, epsilon: float = 1e-
             return True
         if node.denominator < 1:
             return False  # bare structure with nothing below it
-        return entropy(node.numerator, node.denominator) <= entropy_threshold + epsilon
+        return entropy(node.numerator, node.denominator) == 0.0
 
     walk(tree.root)
     return removed

@@ -30,14 +30,10 @@ from .events import EventStream, Subsequence
 from .tree import EpstTree, TreeNode
 
 
-class UndefinedCandidateError(ValueError):
-    """Raised for a zero denominator; the caller must skip the candidate."""
-
-
 def estimate_probability(numerator: int, denominator: int) -> float:
     """Clamped count quotient n(s and g) / n(s)."""
     if denominator < 1:
-        raise UndefinedCandidateError("denominator must be >= 1")
+        raise ValueError("denominator must be >= 1")
     return min(max(numerator, 0) / denominator, 1.0)
 
 
@@ -186,7 +182,7 @@ def _step_masks(tree: EpstTree, table: EventTable) -> Dict[TreeNode, int]:
     """Map every candidate node (inhibitory, or at least min_subseq_len deep
     with a denominator of at least max(frequency_threshold, 1)) to a bitmask
     of the steps n where its full path-subsequence matches the window at
-    t + n; `table` is the context's _event_table for this tree's M, M' and
+    t + n; `table` is the context's _event_table for the trees' M, M' and
     tol. Nodes are recorded in the order the walk first reaches them. A
     child that is neither a candidate nor has children of its own is not
     matched at all, and a matched leaf is not descended into. When
@@ -243,21 +239,16 @@ def predict_from_context(
     """Spike-triggered prediction at time t from an explicit (time, channel)
     context: for each tree and each step n in 0..M', the window at t + n is
     matched against the stored patterns and the representative's
-    probability is written to the cell (0 when nothing matches). Trees
-    with the same M, M' and tol share one event table. Matches are ranked
-    as plain `Candidate.rank_key` tuples; a Candidate is built only for a
-    node that wins a nonzero cell, and a row is stored only when it has
-    one."""
-    steps = max(tree.params.prediction_window for tree in trees)
+    probability is written to the cell (0 when nothing matches). The trees
+    share one parameter set (one tree per channel, as `learn_step`
+    assumes), so one event table serves them all. Matches are ranked as
+    plain `Candidate.rank_key` tuples; a Candidate is built only for a node
+    that wins a nonzero cell, and a row is stored only when it has one."""
+    p = trees[0].params
+    steps = p.prediction_window
     matrix = PredictionMatrix(trigger_time=t, steps=steps)
-    tables: Dict[Tuple[int, int, int], EventTable] = {}
+    table = _event_table(events, t, p.history_window, steps, p.matching_interval)
     for tree in trees:
-        p = tree.params
-        mp = p.prediction_window
-        key = (p.history_window, mp, p.matching_interval)
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = _event_table(events, t, *key)
         matches = _step_masks(tree, table)
         if not matches:
             continue
@@ -269,7 +260,7 @@ def predict_from_context(
             ranked.append((_rank_key(node), node, mask))
         ranked.sort()
         row = None
-        remaining = (1 << (mp + 1)) - 1
+        remaining = (1 << (steps + 1)) - 1
         for _, node, mask in ranked:
             take = mask & remaining
             remaining &= ~mask
@@ -298,8 +289,9 @@ def context_events(stream: EventStream, t: int, m: int) -> List[Tuple[int, int]]
 def predict_window(trees: Sequence[EpstTree], stream: EventStream, t: int) -> PredictionMatrix:
     """predict_from_context on the stream's context at t: only events at or
     before t are used."""
-    m = max(tree.params.history_window for tree in trees)
-    return predict_from_context(trees, context_events(stream, t, m), t)
+    return predict_from_context(
+        trees, context_events(stream, t, trees[0].params.history_window), t
+    )
 
 
 def sampled_predict(
@@ -315,8 +307,7 @@ def sampled_predict(
     cell-wise maximum."""
     if sample_size < 1 or repeats < 1:
         raise ValueError("sample_size and repeats must be >= 1")
-    m = max(tree.params.history_window for tree in trees)
-    events = context_events(stream, t, m)
+    events = context_events(stream, t, trees[0].params.history_window)
     if sample_size >= len(events):
         # every repeat would predict on the same full context
         return predict_from_context(trees, events, t)

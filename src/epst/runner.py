@@ -41,8 +41,6 @@ class EpstRunResult:
     trigger_times: List[int]
     matrices: List[PredictionMatrix]
     trees: List[EpstTree]
-    params: EpstParams
-    variant: Variant
 
     def latest_estimate(self, channel: int, step_time: int, before_time: float) -> float:
         """Estimate for the cell (channel, step_time) from the most recent
@@ -89,16 +87,13 @@ def run_epst(
     params: EpstParams,
     variant: Variant = VARIANTS["epst"],
     sampling: Optional[SamplingConfig] = None,
-    fp_threshold: float = FALSE_POSITIVE_THRESHOLD,
 ) -> EpstRunResult:
-    if not 0.0 < fp_threshold <= 1.0:
-        raise ValueError("fp_threshold must be in (0, 1]")
     m = params.history_window
     trees = [EpstTree(g, params) for g in range(stream.num_channels)]
     visible = stream.visible()
     vis_cells = {(e.channel, e.time) for e in visible}
 
-    result = EpstRunResult([], [], trees, params, variant)
+    result = EpstRunResult([], [], trees)
 
     def resolve_false_positives(step_lo: int, step_hi: int):
         """Check every step in (step_lo, step_hi] for confident predictions
@@ -107,7 +102,7 @@ def run_epst(
         reads the cells of the latest trigger."""
         window_step, window = None, None
         for step, g, p in result.cells_between(step_lo, step_hi):
-            if p < fp_threshold or (g, step) in vis_cells:
+            if p < FALSE_POSITIVE_THRESHOLD or (g, step) in vis_cells:
                 continue
             if step != window_step:
                 window_step, window = step, window_of(stream, step, m)
@@ -144,7 +139,7 @@ def run_epst(
         if variant.pruning:
             while received >= next_prune:
                 for tree in trees:
-                    prune_entropy(tree, 0.0)
+                    prune_entropy(tree)
                 next_prune += PRUNE_INTERVAL_EVENTS
 
         if sampling is None:
@@ -164,8 +159,8 @@ def run_epst(
     return result
 
 
-def run_vmm(stream: EventStream, kind: str, max_order: int = 8, min_frequency: int = 3) -> VmmRunResult:
-    model = VmmModel(kind, stream.num_channels, max_order, min_frequency)
+def run_vmm(stream: EventStream, kind: str) -> VmmRunResult:
+    model = VmmModel(kind, stream.num_channels)
     ordered = sorted(stream.events, key=lambda e: (e.time, e.channel))
     probs: List[Optional[float]] = []
     for e in ordered:

@@ -105,14 +105,15 @@ def config_value(raw: str, where: str, parse=int, expected: str = "an integer"):
         raise ValueError(f"{where}: expected {expected}, got {raw!r}") from None
 
 
-def load_scenario_file(path_or_text, from_text: bool = False) -> ScenarioScript:
+def load_scenario_file(path) -> ScenarioScript:
+    with open(path, encoding="utf-8") as fh:
+        return _parse_scenario(fh.read(), str(path))
+
+
+def _parse_scenario(text: str, source: str) -> ScenarioScript:
+    """A scenario config's text; errors name `source`."""
     cp = configparser.ConfigParser()
-    if from_text:
-        cp.read_string(path_or_text)
-    else:
-        with open(path_or_text, encoding="utf-8") as fh:
-            cp.read_file(fh)
-    source = "<scenario text>" if from_text else str(path_or_text)
+    cp.read_string(text, source)
 
     def value(section, key, fallback=None, parse=int, expected="an integer", required=False):
         """The entry parsed by `parse`; `fallback` when it is absent, or a
@@ -164,4 +165,4 @@ def load_scenario(scenario_id: str) -> ScenarioScript:
         .joinpath(f"{scenario_id}.cfg")
         .read_text(encoding="utf-8")
     )
-    return load_scenario_file(text, from_text=True)
+    return _parse_scenario(text, f"{scenario_id}.cfg")

@@ -7,7 +7,7 @@ over time.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 WIDTH = 720
 HEIGHT = 420
@@ -45,7 +45,6 @@ def line_chart(
     title: str,
     x_label: str,
     y_label: str,
-    y_max: Optional[float] = None,
 ) -> str:
     """Render named (x, y) series as one SVG document string."""
     pts = [p for _, data in series for p in data]
@@ -55,8 +54,6 @@ def line_chart(
         x_lo = min(p[0] for p in pts)
         x_hi = max(p[0] for p in pts)
         y_hi = max(p[1] for p in pts)
-    if y_max is not None:
-        y_hi = y_max
     if y_hi <= 0:
         y_hi = 1.0
     if x_hi <= x_lo:
@@ -129,13 +126,13 @@ def line_chart(
     return "\n".join(out) + "\n"
 
 
-def trace_chart(named_traces, title: str, y_max: Optional[float] = None) -> str:
+def trace_chart(named_traces, title: str) -> str:
     """Chart ErrorTrace objects: x = bin start, y = mean error."""
     series = [
         (name, [(start, mean) for start, mean, n in trace.bins if n > 0])
         for name, trace in named_traces
     ]
-    return line_chart(series, title, "time", "mean error", y_max=y_max)
+    return line_chart(series, title, "time", "mean error")
 
 
 def fp_chart(named_counts, title: str) -> str:

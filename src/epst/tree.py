@@ -198,7 +198,7 @@ class EpstTree:
         every node whose subsequence relative to that root matches the
         window; the active root itself is incremented unconditionally."""
         tol = self.params.matching_interval
-        entries = window.sorted_entries()
+        entries = window.entries
         for level1 in self.root.by_channel.get(event.channel, ()):
             if not level1.is_inhibitory:
                 level1.denominator += 1
@@ -217,7 +217,7 @@ class EpstTree:
         nodes whose numerator exceeds the branch extension threshold."""
         p = self.params
         self.root_count += 1
-        entries = window.sorted_entries()
+        entries = window.entries
         found = set()
         _match_below(self.root, 0, entries, p.matching_interval, set(), found)
         matched = sorted(found, key=TreeNode.sort_key)

@@ -44,11 +44,10 @@ class VmmModel:
         if len(h) > self.max_order:
             del h[: len(h) - self.max_order]
 
-    def predict(self, context: Optional[List[int]] = None) -> Optional[np.ndarray]:
-        """Distribution over the next symbol, or None for the PST's
-        no-estimate case."""
-        ctx = tuple(self.history if context is None else context)
-        ctx = ctx[max(0, len(ctx) - self.max_order):]
+    def predict(self) -> Optional[np.ndarray]:
+        """Distribution over the symbol after the history, or None for the
+        PST's no-estimate case."""
+        ctx = tuple(self.history)
         if self.kind == "ppmc":
             return self._ppmc(ctx)
         return self._pst(ctx)

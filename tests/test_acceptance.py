@@ -2,8 +2,6 @@
 [PASS]/[FAIL] line directly to the terminal (bypassing capture) so a full
 run always shows the scoreboard."""
 
-import pytest
-
 from epst import acceptance
 
 

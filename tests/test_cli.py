@@ -55,15 +55,20 @@ def test_scenario_file_round_trip(tiny_cfg):
     assert script.interference_intervals == []
 
 
-def test_scenario_interference_offsets_validated():
-    bad = TINY_SCENARIO + "\n[interference]\nintervals = 100-200\npattern_seed_offsets = 1,2\n"
+def test_scenario_interference_offsets_validated(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(
+        TINY_SCENARIO + "\n[interference]\nintervals = 100-200\npattern_seed_offsets = 1,2\n"
+    )
     with pytest.raises(ValueError):
-        load_scenario_file(bad, from_text=True)
+        load_scenario_file(bad)
 
 
-def test_scenario_missing_required_key_rejected():
+def test_scenario_missing_required_key_rejected(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_SCENARIO + "\n[noise]\n")
     with pytest.raises(KeyError, match="intervals"):
-        load_scenario_file(TINY_SCENARIO + "\n[noise]\n", from_text=True)
+        load_scenario_file(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +111,28 @@ def test_run_experiment_reproducible(tmp_path, tiny_cfg):
     assert outs[0] == outs[1]
 
 
-def test_config_validation():
-    script = load_scenario_file(TINY_SCENARIO, from_text=True)
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="the core cap would make both runs serial"
+)
+def test_worker_pool_writes_the_serial_artifacts(tmp_path, tiny_cfg):
+    outs = []
+    for workers in (2, 1):
+        config = ExperimentConfig(
+            scenario=load_scenario_file(tiny_cfg),
+            algorithms=("epst", "epst_ip", "ppmc"),
+            seeds=2,
+            out_dir=str(tmp_path / f"workers{workers}"),
+            dump_tree=True,
+            workers=workers,
+        )
+        assert config.workers == workers
+        paths = run_experiment(config)
+        outs.append({os.path.basename(p): open(p, "rb").read() for p in paths})
+    assert outs[0] == outs[1]
+
+
+def test_config_validation(tiny_cfg):
+    script = load_scenario_file(tiny_cfg)
     with pytest.raises(ValueError):
         ExperimentConfig(script, ("epst",), 0, "out")
     with pytest.raises(ValueError):
@@ -169,6 +194,22 @@ def test_main_usage_errors(tmp_path, tiny_cfg):
         )
         == 2
     )
+
+
+@pytest.mark.parametrize(
+    "algos, problem", [(",", "no algorithms given"), ("epst,epst", "repeated algorithms: epst")]
+)
+def test_main_empty_or_repeated_algorithm_list_is_usage_error(
+    tmp_path, tiny_cfg, capsys, algos, problem
+):
+    out = tmp_path / "out"
+    code = run_main(
+        ["run", "--scenario-file", tiny_cfg, "--algos", algos, "--seeds", "1",
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert problem in capsys.readouterr().err
+    assert not out.exists()  # no job ran
 
 
 @pytest.mark.parametrize(

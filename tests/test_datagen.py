@@ -1,6 +1,5 @@
 """Benchmark generator tests: periodicity, noise envelopes, determinism."""
 
-import numpy as np
 import pytest
 
 from epst.datagen import (
@@ -10,7 +9,6 @@ from epst.datagen import (
     apply_jitter,
     gen_base,
 )
-from epst.events import EventStream
 
 
 def test_base_is_periodic():

@@ -20,7 +20,7 @@ from epst.evaluation import (
     score_structured,
     score_vmm,
 )
-from epst.extensions import VARIANTS
+from epst.extensions import FALSE_POSITIVE_THRESHOLD, VARIANTS
 from epst.infer import PredictionMatrix
 from epst.runner import EpstRunResult, VmmRunResult, run_epst
 from epst.tree import EpstParams
@@ -35,7 +35,7 @@ def make_run(cells, trigger=10, steps=28, num_channels=2):
     for (c, step), p in cells.items():
         estimates[c][step - trigger] = p
     matrix = PredictionMatrix(trigger_time=trigger, steps=steps, estimates=estimates)
-    return EpstRunResult([trigger], [matrix], [], EpstParams(), VARIANTS["epst"])
+    return EpstRunResult([trigger], [matrix], [])
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +236,15 @@ def test_score_vmm_hand_case():
 
 def test_count_false_positives_hand_case():
     stream = EventStream((Event(5, 0, "signal"), Event(260, 1, "signal")), 2)
-    # confident prediction at (1, 12): no true event there -> one count in
-    # bin 0; the true cells themselves never count
-    run = make_run({(1, 12): 0.9, (0, 5): 0.9}, trigger=5)
+    # confident predictions at (1, 12) and, exactly at the threshold, at
+    # (1, 20): no true event there -> two counts in bin 0; a cell just below
+    # the threshold and the true cells themselves never count
+    run = make_run(
+        {(1, 12): 0.9, (1, 20): 0.5, (0, 30): math.nextafter(0.5, 0.0), (0, 5): 0.9},
+        trigger=5,
+    )
     counts = count_false_positives(run, stream)
-    assert counts == [(0, 1), (250, 0)]
-    with pytest.raises(ValueError):
-        count_false_positives(run, stream, threshold=0.0)
+    assert counts == [(0, 2), (250, 0)]
 
 
 def test_false_positive_csv_format():
@@ -273,7 +275,7 @@ def random_case(seed, num_channels=3, steps=6):
             row = rng.random(steps + 1) * (rng.random(steps + 1) < 0.4)
             estimates[c] = [float(v) for v in row]
         matrices.append(PredictionMatrix(t, steps, estimates))
-    run = EpstRunResult(times, matrices, [], EpstParams(), VARIANTS["epst"])
+    run = EpstRunResult(times, matrices, [])
     events = sorted(
         (int(rng.integers(0, 70)), int(rng.integers(0, num_channels)), LABELS[int(rng.integers(4))])
         for _ in range(30)
@@ -295,7 +297,7 @@ def per_cell_probability(run, *args, **kwargs):
     return next_event_probability(run.latest_estimate, *args, **kwargs)
 
 
-def per_cell_false_positives(run, stream, threshold=0.5, bin_width=250):
+def per_cell_false_positives(run, stream, bin_width=250):
     true_cells = {
         (e.channel, e.time) for e in stream.events if e.label in ("signal", "interference", "dropped")
     }
@@ -303,7 +305,8 @@ def per_cell_false_positives(run, stream, threshold=0.5, bin_width=250):
     counts = {start: 0 for start in range(0, span + 1, bin_width)}
     for step in range(span + 1):
         for c in range(stream.num_channels):
-            if (c, step) not in true_cells and run.latest_estimate(c, step, step + 0.5) >= threshold:
+            p = run.latest_estimate(c, step, step + 0.5)
+            if (c, step) not in true_cells and p >= FALSE_POSITIVE_THRESHOLD:
                 counts[(step // bin_width) * bin_width] += 1
     return sorted(counts.items())
 
@@ -340,10 +343,9 @@ def test_cell_walk_matches_per_cell_on_hand_built_runs(seed, monkeypatch):
         assert _window_probability(run, *args) == per_cell_probability(run, *args)
 
     assert_scoring_matches_per_cell(run, stream, monkeypatch, bin_width=10)
-    for threshold in (0.5, 0.25, 1.0):
-        assert count_false_positives(run, stream, threshold, 10) == per_cell_false_positives(
-            run, stream, threshold, 10
-        )
+    assert count_false_positives(run, stream, bin_width=10) == per_cell_false_positives(
+        run, stream, bin_width=10
+    )
 
 
 def test_cell_walk_matches_per_cell_on_a_real_run(monkeypatch):

@@ -101,7 +101,7 @@ def test_prune_entropy_hand_values():
     a.numerator, a.denominator = 3, 4  # H ~ 0.5623 > 0: pruned
     b = tree._add_child(tree.root, (6, 2))
     b.numerator, b.denominator = 4, 4  # H = 0: kept
-    removed = prune_entropy(tree, 0.0)
+    removed = prune_entropy(tree)
     assert removed == 1
     assert (5, 1) not in tree.root.children
     assert (6, 2) in tree.root.children
@@ -114,27 +114,27 @@ def test_prune_keeps_interior_with_surviving_descendant():
     a.numerator, a.denominator = 3, 4  # unreliable on its own
     child = tree._add_child(a, (9, 2))
     child.numerator, child.denominator = 2, 2  # deterministic: survives
-    assert prune_entropy(tree, 0.0) == 0
+    assert prune_entropy(tree) == 0
     assert (5, 1) in tree.root.children
     assert a.numerator == 3 and a.denominator == 4
 
 
-@pytest.mark.parametrize("seed,threshold", [(3, 0.0), (4, 0.3), (5, 0.69)])
-def test_prune_entropy_postconditions(seed, threshold):
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_prune_entropy_postconditions(seed):
     p = EpstParams(history_window=16, max_spike_interval=16)
     stream = random_stream(seed, 120, 4)
     tree = learn_stream(stream, p)[0]
     before = {n.subsequence().items: (n.numerator, n.denominator) for n in tree.iter_nodes()}
-    removed = prune_entropy(tree, threshold)
+    removed = prune_entropy(tree)
     after = list(tree.iter_nodes())
     assert removed == len(before) - len(after)
     assert tree.node_count == len(after)
     for node in after:
         # surviving counts untouched
         assert before[node.subsequence().items] == (node.numerator, node.denominator)
-        # a surviving leaf must itself be reliable enough
+        # a surviving leaf must itself be deterministic
         if not node.children and node.denominator >= 1:
-            assert entropy(node.numerator, node.denominator) <= threshold + 1e-12
+            assert entropy(node.numerator, node.denominator) == 0.0
     _assert_index_consistent(tree)
 
 

@@ -1,7 +1,5 @@
 """Online driver tests: trigger bookkeeping, variants, determinism."""
 
-import pytest
-
 from epst import runner
 from epst.acceptance import random_stream
 from epst.datagen import (
@@ -92,13 +90,6 @@ def test_run_vmm_counts_every_event():
     run = run_vmm(stream, "ppmc")
     assert len(run.events) == len(run.probabilities) == 80
     assert all(p is not None for p in run.probabilities[1:])
-
-
-def test_fp_threshold_validated():
-    stream = EventStream((Event(5, 0),), 1)
-    for bad in (0.0, 1.5):
-        with pytest.raises(ValueError):
-            run_epst(stream, EpstParams(), fp_threshold=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def test_sort_key_kept_through_maintenance():
         removed += inhibitory_maintenance(tree, inhibitory)
         assert_branching_index(tree)
     assert removed and len(removed) == len(inhibitory)
-    assert prune_entropy(tree, 0.3) > 0
+    assert prune_entropy(tree) > 0
     assert_branching_index(tree)
 
     def paths(node, prefix):

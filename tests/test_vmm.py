@@ -80,14 +80,6 @@ def test_pst_smoothing_hand_worked():
     assert dist[2] == pytest.approx(1 / 21)
 
 
-def test_explicit_context_argument():
-    model = VmmModel("ppmc", 3, max_order=1)
-    for s in [0, 1, 0, 1]:
-        model.update(s)
-    assert np.allclose(model.predict([1]), model.predict())
-    assert not np.allclose(model.predict([0]), model.predict())
-
-
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         VmmModel("lz78", 3)
@@ -127,12 +119,12 @@ def test_ppmc_learns_a_cycle():
 
 
 def test_run_vmm_probabilities_align_with_events():
-    events = tuple(
-        Event(t, c) for t, c in [(5, 0), (10, 1), (15, 0), (20, 1), (25, 0)]
-    )
+    # alternating 0, 1, ...: the order-8 context before the 15th event is
+    # the first to have been seen three times, the PST's minimum
+    events = tuple(Event(5 * (k + 1), k % 2) for k in range(16))
     stream = EventStream(events, 2)
-    run = run_vmm(stream, "pst", min_frequency=2)
-    assert len(run.probabilities) == len(run.events) == 5
+    run = run_vmm(stream, "pst")
+    assert len(run.probabilities) == len(run.events) == 16
     # before enough evidence, the PST declines
     assert run.probabilities[0] is None
     # later probabilities are defined and in [0, 1]
