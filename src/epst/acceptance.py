@@ -1,9 +1,10 @@
 """Acceptance checks: the behavioral contract of the package, runnable
 both from the command line (`epst-bench verify`) and from the test suite.
 
-Each check returns a CriterionResult with the measured values in its
-detail string. The quick mode reduces seed counts and documents the
-looser derived tolerances in the output.
+`CHECKS` is the one list of the 11 criteria, each a (name, check) pair;
+a check returns whether its criterion held and the measured values behind
+that verdict. Seed counts and bounds are module constants that no caller
+can lower or loosen.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,12 +41,8 @@ from .vmm import VmmModel
 
 STRUCTURED_SEEDS = 25
 SECONDARY_SEEDS = 5
-QUICK_SEEDS = 3
 ORACLE_STREAMS = 50
-QUICK_ORACLE_STREAMS = 10
 CLEAN_THRESHOLD = 0.05
-# small-sample variance of the quick mode's three seeds
-QUICK_CLEAN_THRESHOLD = 0.08
 # pinned seeds for the false-positive dynamics check: late one-shot junk
 # patterns occasionally fire a stray confident prediction long after the
 # interference on some seeds, identically for every variant, which would
@@ -62,6 +59,10 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] {self.name}: {self.detail}"
+
+
+# what a check returns: whether its criterion held, and the measured values
+Verdict = Tuple[bool, str]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ def random_stream(seed: int, num_events: int, num_channels: int) -> EventStream:
 # criteria
 
 
-def check_one_shot() -> CriterionResult:
+def check_one_shot() -> Verdict:
     """A single presentation of a 4-event pattern followed by a spike gives
     probability exactly 1.0 at the correct cell on the next presentation."""
     params = EpstParams(branch_extension_threshold=0, frequency_threshold=0)
@@ -187,18 +188,16 @@ def check_one_shot() -> CriterionResult:
         matrix.probability(0, n) for n in range(matrix.steps + 1) if n != 7
     ]
     ok = got == 1.0 and all(v < 1.0 for v in others)
-    return CriterionResult(
-        "one_shot_learning", ok, f"p(channel 0, step 7) = {got} after one presentation"
-    )
+    return ok, f"p(channel 0, step 7) = {got} after one presentation"
 
 
-def check_count_oracle(num_streams: int = ORACLE_STREAMS) -> CriterionResult:
+def check_count_oracle() -> Verdict:
     """Tree counts equal the flat-dict replay oracle on random streams."""
     params = EpstParams(history_window=16, prediction_window=12, max_spike_interval=16)
     rng = np.random.default_rng(20240811)
     mismatches = 0
     checked = 0
-    for k in range(num_streams):
+    for k in range(ORACLE_STREAMS):
         n_events = int(rng.integers(20, 201))
         stream = random_stream(int(rng.integers(0, 2**31)), n_events, 5)
         trees = learn_stream(stream, params)
@@ -208,18 +207,13 @@ def check_count_oracle(num_streams: int = ORACLE_STREAMS) -> CriterionResult:
         checked += 1
         if expected != got:
             mismatches += 1
-    return CriterionResult(
-        "count_oracle_equivalence",
-        mismatches == 0,
-        f"{checked} random streams replayed, {mismatches} mismatching trees",
-    )
+    return mismatches == 0, f"{checked} random streams replayed, {mismatches} mismatching trees"
 
 
 def _structured_runs(scenario_id: str, seeds: Sequence[int], algos: Sequence[str]):
     scenario = load_scenario(scenario_id)
     params = EpstParams(**scenario.epst_overrides)
     out: Dict[str, List[ErrorTrace]] = {a: [] for a in algos}
-    fp: Dict[str, List[List[Tuple[int, int]]]] = {a: [] for a in algos}
     for seed in seeds:
         stream = scenario.build_stream(seed)
         for algo in algos:
@@ -230,18 +224,14 @@ def _structured_runs(scenario_id: str, seeds: Sequence[int], algos: Sequence[str
                 trace = score_epst(
                     run, stream, scenario.scoring_mode, pad=scenario.scoring_pad
                 )
-                fp[algo].append(count_false_positives(run, stream))
             out[algo].append(trace)
-    return {a: aggregate_runs(ts) for a, ts in out.items()}, fp
+    return {a: aggregate_runs(ts) for a, ts in out.items()}
 
 
-def check_structured_same(
-    seeds: Optional[Sequence[int]] = None, clean_threshold: float = CLEAN_THRESHOLD
-) -> CriterionResult:
+def check_structured_same() -> Verdict:
     """Same interference pattern twice: low clean error, VMM degradation
     during interference, and re-recognition of the repeated pattern."""
-    seeds = range(STRUCTURED_SEEDS) if seeds is None else seeds
-    traces, _ = _structured_runs("structured_same", seeds, ["epst", "ppmc", "pst"])
+    traces = _structured_runs("structured_same", range(STRUCTURED_SEEDS), ["epst", "ppmc", "pst"])
     epst = traces["epst"]
     clean = epst.mean_over(3000, 5000)
     vmm_ok = True
@@ -255,41 +245,33 @@ def check_structured_same(
         vmm_bits.append(f"{algo} {base:.3f}->{inside:.3f}")
     second = epst.mean_over(7000, 8000)
     first_onset = epst.mean_over(5000, 5300)
-    ok = clean < clean_threshold and vmm_ok and second <= first_onset
-    return CriterionResult(
-        "structured_same_interference",
-        ok,
-        f"epst clean={clean:.4f} (<{clean_threshold}), {', '.join(vmm_bits)}, "
-        f"re-recognition {second:.4f} <= {first_onset:.4f}",
+    ok = clean < CLEAN_THRESHOLD and vmm_ok and second <= first_onset
+    return ok, (
+        f"epst clean={clean:.4f} (<{CLEAN_THRESHOLD}), {', '.join(vmm_bits)}, "
+        f"re-recognition {second:.4f} <= {first_onset:.4f}"
     )
 
 
-def check_structured_diff(seeds: Optional[Sequence[int]] = None) -> CriterionResult:
+def check_structured_diff() -> Verdict:
     """A novel second interference pattern produces a learning bump that
     decays below half its peak before the interval ends."""
-    seeds = range(SECONDARY_SEEDS) if seeds is None else seeds
-    traces, _ = _structured_runs("structured_diff", seeds, ["epst"])
+    traces = _structured_runs("structured_diff", range(SECONDARY_SEEDS), ["epst"])
     epst = traces["epst"]
     steady = epst.mean_over(3000, 5000)
     bins = [(b, epst.mean_over(b, b + 250)) for b in range(7000, 8000, 250)]
     peak = max(v for _, v in bins)
     tail = bins[-1][1]
     ok = peak >= steady + 0.05 and tail < peak / 2
-    return CriterionResult(
-        "structured_novel_pattern_bump",
-        ok,
-        f"steady={steady:.4f} peak={peak:.4f} final bin={tail:.4f}",
-    )
+    return ok, f"steady={steady:.4f} peak={peak:.4f} final bin={tail:.4f}"
 
 
-def check_random_noise(seeds: Optional[Sequence[int]] = None) -> CriterionResult:
+def check_random_noise() -> Verdict:
     """Additive random events leave the signal error unchanged for the
     event-based predictor while both order-based baselines degrade."""
-    seeds = range(SECONDARY_SEEDS) if seeds is None else seeds
     scenario = load_scenario("random_noise")
     params = EpstParams(**scenario.epst_overrides)
     diffs = {"epst": [], "ppmc": [], "pst": []}
-    for seed in seeds:
+    for seed in range(SECONDARY_SEEDS):
         stream = scenario.build_stream(seed)
         for algo in diffs:
             if algo == "epst":
@@ -305,21 +287,18 @@ def check_random_noise(seeds: Optional[Sequence[int]] = None) -> CriterionResult
     ppmc_excess = float(np.mean(diffs["ppmc"]))
     pst_excess = float(np.mean(diffs["pst"]))
     ok = epst_diff < 0.02 and ppmc_excess >= 0.1 and pst_excess >= 0.1
-    return CriterionResult(
-        "random_noise_immunity",
-        ok,
+    return ok, (
         f"epst |noisy-clean|={epst_diff:.4f} (<0.02), "
-        f"ppmc excess={ppmc_excess:.3f}, pst excess={pst_excess:.3f} (>=0.1)",
+        f"ppmc excess={ppmc_excess:.3f}, pst excess={pst_excess:.3f} (>=0.1)"
     )
 
 
-def check_jitter(seeds: Optional[Sequence[int]] = None) -> CriterionResult:
+def check_jitter() -> Verdict:
     """Wider matching intervals recover jittered patterns; at width 5 the
     predictor matches the order-based baselines."""
-    seeds = range(SECONDARY_SEEDS) if seeds is None else seeds
     scenario = load_scenario("jitter")
     post: Dict[str, List[float]] = {"tol0": [], "tol2": [], "tol5": [], "ppmc": [], "pst": []}
-    for seed in seeds:
+    for seed in range(SECONDARY_SEEDS):
         stream = scenario.build_stream(seed)
         span = stream.events[-1].time
         for tol in (0, 2, 5):
@@ -335,21 +314,18 @@ def check_jitter(seeds: Optional[Sequence[int]] = None) -> CriterionResult:
         means["tol0"] > means["tol2"] > means["tol5"]
         and means["tol5"] <= 1.05 * vmm_best
     )
-    return CriterionResult(
-        "jitter_matching_interval",
-        ok,
+    return ok, (
         f"tol0={means['tol0']:.4f} > tol2={means['tol2']:.4f} > tol5={means['tol5']:.4f}, "
-        f"tol5 <= 1.05*min(vmm)={1.05 * vmm_best:.4f}",
+        f"tol5 <= 1.05*min(vmm)={1.05 * vmm_best:.4f}"
     )
 
 
-def check_jitter_dropout(seeds: Optional[Sequence[int]] = None) -> CriterionResult:
+def check_jitter_dropout() -> Verdict:
     """With dropout on top of jitter, the tolerance-5 predictor beats both
     order-based baselines by at least 0.05."""
-    seeds = range(SECONDARY_SEEDS) if seeds is None else seeds
     scenario = load_scenario("jitter_dropout")
     post = {"epst": [], "ppmc": [], "pst": []}
-    for seed in seeds:
+    for seed in range(SECONDARY_SEEDS):
         stream = scenario.build_stream(seed)
         span = stream.events[-1].time
         run = run_epst(stream, EpstParams(matching_interval=5))
@@ -365,11 +341,9 @@ def check_jitter_dropout(seeds: Optional[Sequence[int]] = None) -> CriterionResu
     ok = (
         means["ppmc"] - means["epst"] >= 0.05 and means["pst"] - means["epst"] >= 0.05
     )
-    return CriterionResult(
-        "jitter_dropout_robustness",
-        ok,
+    return ok, (
         f"epst={means['epst']:.4f} vs ppmc={means['ppmc']:.4f}, pst={means['pst']:.4f} "
-        f"(margins >= 0.05)",
+        f"(margins >= 0.05)"
     )
 
 
@@ -386,16 +360,15 @@ def _zero_point(counts: List[Tuple[int, int]], start: int) -> float:
     return zp
 
 
-def check_et0_false_positives(seeds: Optional[Sequence[int]] = None) -> CriterionResult:
+def check_et0_false_positives() -> Verdict:
     """With extension threshold 0, interference explodes the false positive
     counts of the plain variant; inhibition zeroes them quickly after the
     interference ends and pruning alone is strictly slower."""
-    seeds = ET0_SEEDS if seeds is None else seeds
     scenario = load_scenario("structured_et0")
     params = EpstParams(**scenario.epst_overrides)
     algos = ("epst", "epst_i", "epst_p", "epst_ip")
     summed: Dict[str, Dict[int, int]] = {a: {} for a in algos}
-    for seed in seeds:
+    for seed in ET0_SEEDS:
         stream = scenario.build_stream(seed)
         for algo in algos:
             run = run_epst(stream, params, VARIANTS[algo])
@@ -412,15 +385,13 @@ def check_et0_false_positives(seeds: Optional[Sequence[int]] = None) -> Criterio
     inhibition_ok = zp["epst_i"] <= 9500 and zp["epst_ip"] <= 9500
     ordering_ok = zp["epst_p"] > zp["epst_i"]
     ok = explode_ok and inhibition_ok and ordering_ok
-    return CriterionResult(
-        "et0_false_positive_dynamics",
-        ok,
+    return ok, (
         f"plain pre={pre} inside={inside} (>=10x), zero points "
-        f"i={zp['epst_i']} ip={zp['epst_ip']} (<=9500), p={zp['epst_p']} (> i)",
+        f"i={zp['epst_i']} ip={zp['epst_ip']} (<=9500), p={zp['epst_p']} (> i)"
     )
 
 
-def check_xor() -> CriterionResult:
+def check_xor() -> Verdict:
     """Inhibition solves exclusive-or: p=1 for either pattern alone, p=0
     for both together."""
     params = EpstParams(
@@ -440,12 +411,10 @@ def check_xor() -> CriterionResult:
     p_b = cell([(95, 2)])
     p_ab = cell([(95, 1), (95, 2)])
     ok = p_a == 1.0 and p_b == 1.0 and p_ab == 0.0
-    return CriterionResult(
-        "xor_inhibition", ok, f"A={p_a} B={p_b} A^B={p_ab} (expect 1, 1, 0)"
-    )
+    return ok, f"A={p_a} B={p_b} A^B={p_ab} (expect 1, 1, 0)"
 
 
-def check_invariants() -> CriterionResult:
+def check_invariants() -> Verdict:
     """Spot checks of the structural invariants; the full property suites
     live in the test directory."""
     problems = []
@@ -478,13 +447,10 @@ def check_invariants() -> CriterionResult:
     if abs(float(dist.sum()) - 1.0) > 1e-9:
         problems.append(f"ppmc distribution sums to {float(dist.sum())}")
 
-    ok = not problems
-    return CriterionResult(
-        "invariant_spot_checks", ok, "; ".join(problems) if problems else "all held"
-    )
+    return not problems, "; ".join(problems) or "all held"
 
 
-def check_performance() -> CriterionResult:
+def check_performance() -> Verdict:
     """Downsampled prediction (8 events, 4 repeats) is at least 3x faster
     than the full prediction on 15 dense windows, and the downsampled run
     still clears the structured clean-error bar at 0.08."""
@@ -511,30 +477,28 @@ def check_performance() -> CriterionResult:
     sampled_run = run_epst(stream, EpstParams(), sampling=SamplingConfig(8, 4, 0))
     clean = score_structured(sampled_run, stream)["combined"].mean_over(3000, 5000)
     ok = speedup >= 3.0 and clean < 0.08
-    return CriterionResult(
-        "sampling_performance",
-        ok,
-        f"speedup={speedup:.2f}x (>=3), sampled clean error={clean:.4f} (<0.08)",
-    )
+    return ok, f"speedup={speedup:.2f}x (>=3), sampled clean error={clean:.4f} (<0.08)"
 
 
 # ---------------------------------------------------------------------------
 
+# each name is the one `epst-bench verify` prints and the one the test
+# suite's test_criterion_<number>_<name> carries
+CHECKS: Tuple[Tuple[str, Callable[[], Verdict]], ...] = (
+    ("one_shot_learning", check_one_shot),
+    ("count_oracle_equivalence", check_count_oracle),
+    ("structured_same_interference", check_structured_same),
+    ("structured_novel_pattern_bump", check_structured_diff),
+    ("random_noise_immunity", check_random_noise),
+    ("jitter_matching_interval", check_jitter),
+    ("jitter_dropout_robustness", check_jitter_dropout),
+    ("et0_false_positive_dynamics", check_et0_false_positives),
+    ("xor_inhibition", check_xor),
+    ("invariant_spot_checks", check_invariants),
+    ("sampling_performance", check_performance),
+)
 
-def run_all(quick: bool = False) -> List[CriterionResult]:
-    """Every check in order; quick mode only lowers the seed and oracle
-    stream counts and loosens the structured clean-error bar."""
-    seeds = range(QUICK_SEEDS) if quick else None
-    return [
-        check_one_shot(),
-        check_count_oracle(QUICK_ORACLE_STREAMS if quick else ORACLE_STREAMS),
-        check_structured_same(seeds, QUICK_CLEAN_THRESHOLD if quick else CLEAN_THRESHOLD),
-        check_structured_diff(seeds),
-        check_random_noise(seeds),
-        check_jitter(seeds),
-        check_jitter_dropout(seeds),
-        check_et0_false_positives(),
-        check_xor(),
-        check_invariants(),
-        check_performance(),
-    ]
+
+def run_all() -> List[CriterionResult]:
+    """Every criterion of CHECKS, in order."""
+    return [CriterionResult(name, *check()) for name, check in CHECKS]

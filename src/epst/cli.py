@@ -3,8 +3,11 @@
 `epst-bench run` drives one benchmark scenario for a set of algorithms and
 seeds, writing aggregated error-trace CSVs, false-positive CSVs (for the
 extension-threshold-0 scenario), an SVG overlay chart, and optionally the
-final tree snapshots. `epst-bench verify` executes the acceptance checks
-and prints a pass/fail table.
+final tree snapshots. Its settings come from two places only: the flags,
+and the scenario (built-in or `--scenario-file`), whose `[epst]` section
+sets the tree parameters that `--epst.<field>` flags override.
+`epst-bench verify` executes the acceptance checks and prints a pass/fail
+table.
 
 Exit codes: 0 success, 1 failed check or run error, 2 usage error.
 """
@@ -30,13 +33,7 @@ from .evaluation import (
 )
 from .extensions import VARIANTS
 from .runner import run_epst, run_vmm
-from .scenarios import (
-    SCENARIO_IDS,
-    ScenarioScript,
-    config_value,
-    load_scenario,
-    load_scenario_file,
-)
+from .scenarios import SCENARIO_IDS, ScenarioScript, load_scenario, load_scenario_file
 from .svg import fp_chart, trace_chart
 from .tree import EpstParams
 
@@ -45,14 +42,6 @@ VMM_ALGOS = ("ppmc", "pst")
 ALL_ALGOS = EPST_ALGOS + VMM_ALGOS
 DEFAULT_ALGOS = ("epst", "ppmc", "pst")
 DEFAULT_SEEDS = 25
-# the run options a flag or a config file's [run] section can set
-RUN_DEFAULTS = {
-    "scenario": None,
-    "algos": ",".join(DEFAULT_ALGOS),
-    "seeds": DEFAULT_SEEDS,
-    "out": "out",
-    "dump_tree": False,
-}
 
 USAGE_ERROR = 2
 
@@ -160,57 +149,6 @@ def run_experiment(config: ExperimentConfig) -> List[str]:
     return written
 
 
-def _parse_overrides(extras: Sequence[str]) -> Dict[str, int]:
-    """Dotted tree-parameter overrides: --epst.<field> <int>."""
-    fields = {f.name for f in dataclasses.fields(EpstParams)}
-    overrides: Dict[str, int] = {}
-    i = 0
-    while i < len(extras):
-        arg = extras[i]
-        if not arg.startswith("--epst."):
-            raise ValueError(f"unrecognized argument: {arg}")
-        name = arg[len("--epst."):]
-        value = None
-        if "=" in name:
-            name, value = name.split("=", 1)
-        elif i + 1 < len(extras):
-            i += 1
-            value = extras[i]
-        if name not in fields:
-            raise ValueError(f"unknown tree parameter: {name}")
-        if value is None:
-            raise ValueError(f"missing value for --epst.{name}")
-        overrides[name] = config_value(value, f"--epst.{name}")
-        i += 1
-    return overrides
-
-
-def _config_from_file(path: str) -> Dict[str, object]:
-    """Run options from a config file: [run] section with the same keys as
-    the flags, plus optional [epst] overrides."""
-    cp = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as fh:
-        cp.read_file(fh)
-    out: Dict[str, object] = {}
-    if cp.has_section("run"):
-        run = cp["run"]
-        if "scenario" in run:
-            out["scenario"] = run["scenario"]
-        if "algos" in run:
-            out["algos"] = run["algos"]
-        if "seeds" in run:
-            out["seeds"] = config_value(run["seeds"], f"{path}: [run] seeds")
-        if "out" in run:
-            out["out"] = run["out"]
-        if "dump_tree" in run:
-            out["dump_tree"] = run.getboolean("dump_tree")
-    if cp.has_section("epst"):
-        out["overrides"] = {
-            k: config_value(v, f"{path}: [epst] {k}") for k, v in cp["epst"].items()
-        }
-    return out
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epst-bench",
@@ -226,73 +164,47 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     runp.add_argument(
         "--algos",
+        default=",".join(DEFAULT_ALGOS),
         help=f"comma separated, non-empty and distinct subset of {', '.join(ALL_ALGOS)} "
-        f"(default {','.join(DEFAULT_ALGOS)})",
+        f"(default %(default)s)",
     )
-    # None when absent, so that a config file value can apply (RUN_DEFAULTS)
-    runp.add_argument("--seeds", type=int, help=f"default {DEFAULT_SEEDS}")
-    runp.add_argument("--out", help="default out")
-    runp.add_argument("--dump-tree", action="store_true", default=None)
-    runp.add_argument("--config", help="config file with [run] and [epst] sections")
+    runp.add_argument("--seeds", type=int, default=DEFAULT_SEEDS, help="default %(default)s")
+    runp.add_argument("--out", default="out", help="default %(default)s")
+    runp.add_argument("--dump-tree", action="store_true")
     runp.add_argument("--workers", type=int, default=1)
-
-    verp = sub.add_parser("verify", help="run the acceptance checks")
-    verp.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced seed counts; the structured clean-error tolerance is "
-        "loosened from 0.05 to 0.08 (small-sample variance)",
+    tree = runp.add_argument_group(
+        "tree parameters",
+        "each overrides the scenario's [epst] value; the default applies where neither sets one",
     )
+    for field in dataclasses.fields(EpstParams):
+        tree.add_argument(
+            f"--epst.{field.name}", type=int, metavar="N", help=f"default {field.default}"
+        )
+
+    sub.add_parser("verify", help="run the acceptance checks")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args, extras = parser.parse_known_args(argv)
+    args = _build_parser().parse_args(argv)
 
     if args.command == "verify":
-        if extras:
-            print(f"unrecognized arguments: {' '.join(extras)}", file=sys.stderr)
-            return USAGE_ERROR
-        results = acceptance.run_all(quick=args.quick)
-        if args.quick:
-            print(
-                f"quick mode: {acceptance.QUICK_SEEDS} seeds, "
-                f"{acceptance.QUICK_ORACLE_STREAMS} oracle streams, "
-                f"clean-error bar {acceptance.QUICK_CLEAN_THRESHOLD}"
-            )
+        results = acceptance.run_all()
         for result in results:
             print(result.line())
         failed = sum(not r.passed for r in results)
         print(f"{len(results) - failed}/{len(results)} checks passed")
         return 0 if failed == 0 else 1
 
-    try:
-        overrides = _parse_overrides(extras)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
-
-    file_opts: Dict[str, object] = {}
-    if args.config:
-        try:
-            file_opts = _config_from_file(args.config)
-        except (OSError, ValueError, configparser.Error) as exc:
-            print(f"bad config file: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-
-    # each run option: its flag, else the config file, else RUN_DEFAULTS
-    flags = {k: v for k, v in vars(args).items() if k in RUN_DEFAULTS and v is not None}
-    opts = {**RUN_DEFAULTS, **file_opts, **flags}
     if args.scenario_file:
         try:
             scenario = load_scenario_file(args.scenario_file)
-        except (OSError, KeyError, ValueError, configparser.Error) as exc:
+        except (OSError, ValueError, configparser.Error) as exc:
             print(f"bad scenario file: {exc}", file=sys.stderr)
             return USAGE_ERROR
-    elif opts["scenario"]:
+    elif args.scenario:
         try:
-            scenario = load_scenario(str(opts["scenario"]))
+            scenario = load_scenario(args.scenario)
         except KeyError as exc:
             print(exc.args[0], file=sys.stderr)
             return USAGE_ERROR
@@ -300,18 +212,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("one of --scenario or --scenario-file is required", file=sys.stderr)
         return USAGE_ERROR
 
-    algorithms = tuple(a.strip() for a in str(opts["algos"]).split(",") if a.strip())
-    merged_overrides = dict(file_opts.get("overrides", {}))
-    merged_overrides.update(overrides)
-
+    overrides = {
+        f.name: value
+        for f in dataclasses.fields(EpstParams)
+        if (value := getattr(args, f"epst.{f.name}")) is not None
+    }
     try:
         config = ExperimentConfig(
             scenario=scenario,
-            algorithms=algorithms,
-            seeds=opts["seeds"],
-            out_dir=str(opts["out"]),
-            dump_tree=bool(opts["dump_tree"]),
-            param_overrides=merged_overrides,
+            algorithms=tuple(a.strip() for a in args.algos.split(",") if a.strip()),
+            seeds=args.seeds,
+            out_dir=args.out,
+            dump_tree=args.dump_tree,
+            param_overrides=overrides,
             workers=args.workers,
         )
     except (ValueError, TypeError) as exc:

@@ -11,6 +11,7 @@ from importlib import resources
 from typing import List, Optional, Tuple
 
 from . import datagen
+from .evaluation import SCORED_LABELS
 from .events import EventStream
 
 Interval = Tuple[int, int]
@@ -95,14 +96,10 @@ def _parse_intervals(raw: str) -> List[Interval]:
     return out
 
 
-def config_value(raw: str, where: str, parse=int, expected: str = "an integer"):
-    """A config value parsed by `parse`; a bad value raises a ValueError
-    that names `where` it came from: the flag, or the file, section and
-    key."""
-    try:
-        return parse(raw)
-    except ValueError:
-        raise ValueError(f"{where}: expected {expected}, got {raw!r}") from None
+def _scoring_mode(raw: str) -> str:
+    if raw not in SCORED_LABELS:
+        raise ValueError
+    return raw
 
 
 def load_scenario_file(path) -> ScenarioScript:
@@ -111,20 +108,30 @@ def load_scenario_file(path) -> ScenarioScript:
 
 
 def _parse_scenario(text: str, source: str) -> ScenarioScript:
-    """A scenario config's text; errors name `source`."""
+    """A scenario config's text; every error is a ValueError that names
+    `source`, the section and, where there is one, the key."""
     cp = configparser.ConfigParser()
     cp.read_string(text, source)
 
     def value(section, key, fallback=None, parse=int, expected="an integer", required=False):
-        """The entry parsed by `parse`; `fallback` when it is absent, or a
-        KeyError when it is required."""
-        raw = cp[section][key] if required else cp[section].get(key)
+        """The entry parsed by `parse`; `fallback` when it is absent, unless
+        it is required."""
+        raw = cp[section].get(key)
         if raw is None:
+            if required:
+                raise ValueError(f"{source}: [{section}] {key}: missing")
             return fallback
-        return config_value(raw, f"{source}: [{section}] {key}", parse, expected)
+        try:
+            return parse(raw)
+        except ValueError:
+            raise ValueError(
+                f"{source}: [{section}] {key}: expected {expected}, got {raw!r}"
+            ) from None
 
+    if not cp.has_section("scenario"):
+        raise ValueError(f"{source}: [scenario]: missing section")
     script = ScenarioScript(
-        scenario_id=cp["scenario"]["id"],
+        scenario_id=value("scenario", "id", parse=str, required=True),
         num_channels=value("scenario", "num_channels", datagen.NUM_CHANNELS),
         total_events=value("scenario", "total_events", 1000),
         bin_width=value("scenario", "bin_width", 250),
@@ -137,8 +144,13 @@ def _parse_scenario(text: str, source: str) -> ScenarioScript:
             "interference", "pattern_seed_offsets", parse=_parse_ints,
             expected="comma-separated integers", required=True,
         )
-        if len(script.interference_intervals) != len(script.interference_pattern_offsets):
-            raise ValueError("one pattern seed offset needed per interference interval")
+        intervals = len(script.interference_intervals)
+        offsets = len(script.interference_pattern_offsets)
+        if intervals != offsets:
+            raise ValueError(
+                f"{source}: [interference] pattern_seed_offsets: expected {intervals}, "
+                f"one per interval, got {offsets}"
+            )
     if cp.has_section("noise"):
         script.noise_intervals = value(
             "noise", "intervals", parse=_parse_intervals, expected=_INTERVALS, required=True
@@ -150,7 +162,10 @@ def _parse_scenario(text: str, source: str) -> ScenarioScript:
         script.dropout_p = value("dropout", "p", parse=float, expected="a number")
         script.dropout_onset_time = value("dropout", "onset_time")
     if cp.has_section("scoring"):
-        script.scoring_mode = cp["scoring"].get("mode", "structured")
+        script.scoring_mode = value(
+            "scoring", "mode", "structured", parse=_scoring_mode,
+            expected=f"one of {', '.join(SCORED_LABELS)}",
+        )
         script.scoring_pad = value("scoring", "pad", 0)
     if cp.has_section("epst"):
         script.epst_overrides = {k: value("epst", k) for k in cp["epst"]}

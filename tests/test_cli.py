@@ -1,12 +1,14 @@
 """Command line and scenario loader tests."""
 
+import dataclasses
 import os
 
 import pytest
 
-from epst import cli
+from epst import acceptance, cli
 from epst.cli import ExperimentConfig, main, run_experiment
 from epst.scenarios import SCENARIO_IDS, load_scenario, load_scenario_file
+from epst.tree import EpstParams
 
 TINY_SCENARIO = """\
 [scenario]
@@ -67,7 +69,7 @@ def test_scenario_interference_offsets_validated(tmp_path):
 def test_scenario_missing_required_key_rejected(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_SCENARIO + "\n[noise]\n")
-    with pytest.raises(KeyError, match="intervals"):
+    with pytest.raises(ValueError, match="intervals"):
         load_scenario_file(bad)
 
 
@@ -152,7 +154,11 @@ def test_workers_capped_at_cpu_count(tiny_cfg):
 
 
 def run_main(args):
-    return main(args)
+    """`main`'s exit code, also where argparse exits on a usage error."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_main_run_smoke(tmp_path, tiny_cfg, capsys):
@@ -216,14 +222,10 @@ def test_main_empty_or_repeated_algorithm_list_is_usage_error(
     "name, extra",
     [
         ("min_subseq_len", ["--epst.min_subseq_len", "5"]),
-        ("history_windw", ["--config", "[epst]\nhistory_windw = 16\n"]),
+        ("history_windw", ["--epst.history_windw", "16"]),
     ],
 )
 def test_main_bad_tree_parameter_is_usage_error(tmp_path, tiny_cfg, capsys, name, extra):
-    if extra[0] == "--config":
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(extra[1])
-        extra = ["--config", str(cfg)]
     out = tmp_path / "out"
     code = run_main(
         ["run", "--scenario-file", tiny_cfg, "--algos", "epst", "--seeds", "1",
@@ -234,14 +236,12 @@ def test_main_bad_tree_parameter_is_usage_error(tmp_path, tiny_cfg, capsys, name
     assert not out.exists()  # no job ran
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_main_non_integer_tree_parameter_is_usage_error(tmp_path, tiny_cfg, capsys, source):
-    cfg = tmp_path / "run.cfg"
-    if source == "flag":
-        extra, where = ["--epst.history_window", "abc"], "--epst.history_window"
-    else:
-        cfg.write_text("[epst]\nhistory_window = abc\n")
-        extra, where = ["--config", str(cfg)], str(cfg)
+@pytest.mark.parametrize(
+    "extra",
+    [["--epst.history_window", "abc"], ["--epst.history_window=abc"]],
+    ids=["flag", "equals"],
+)
+def test_main_non_integer_tree_parameter_is_usage_error(tmp_path, tiny_cfg, capsys, extra):
     out = tmp_path / "out"
     code = run_main(
         ["run", "--scenario-file", tiny_cfg, "--algos", "epst", "--seeds", "1",
@@ -249,7 +249,7 @@ def test_main_non_integer_tree_parameter_is_usage_error(tmp_path, tiny_cfg, caps
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert "history_window" in err and where in err and "'abc'" in err
+    assert "--epst.history_window" in err and "'abc'" in err
     assert not out.exists()  # no job ran
 
 
@@ -262,6 +262,14 @@ def test_main_non_integer_tree_parameter_is_usage_error(tmp_path, tiny_cfg, caps
          "[epst] history_window", "expected an integer, got 'abc'"),
         (TINY_SCENARIO + "\n[noise]\nintervals = 100-abc\n",
          "[noise] intervals", "expected comma-separated LO-HI intervals, got '100-abc'"),
+        (TINY_SCENARIO.replace("mode = structured", "mode = banana"),
+         "[scoring] mode",
+         "expected one of structured, random_noise, jitter, jitter_dropout, got 'banana'"),
+        (TINY_SCENARIO.replace("[scenario]", "[scenari]"), "[scenario]", "missing section"),
+        (TINY_SCENARIO.replace("id = tiny\n", ""), "[scenario] id", "missing"),
+        (TINY_SCENARIO + "\n[noise]\n", "[noise] intervals", "missing"),
+        (TINY_SCENARIO + "\n[interference]\nintervals = 100-200\npattern_seed_offsets = 1,2\n",
+         "[interference] pattern_seed_offsets", "expected 1, one per interval, got 2"),
     ],
 )
 def test_main_bad_scenario_value_is_usage_error(tmp_path, capsys, text, where, problem):
@@ -292,29 +300,51 @@ def test_main_param_override_changes_output(tmp_path, tiny_cfg):
     assert base["trace"] != wide["trace"]
 
 
-def test_main_config_file(tmp_path, tiny_cfg):
-    cfg = tmp_path / "run.cfg"
-    out_dir = tmp_path / "cfg_out"
-    cfg.write_text(f"[run]\nalgos = epst\nseeds = 1\nout = {out_dir}\n")
-    code = run_main(["run", "--scenario-file", tiny_cfg, "--config", str(cfg)])
-    assert code == 0
-    assert os.path.exists(str(out_dir / "trace_tiny_epst.csv"))
-
-
-def test_main_flag_beats_config_file_beats_default(tmp_path, tiny_cfg, monkeypatch):
-    # a flag applies even when it equals its default; a file value applies
-    # only when the flag is absent
+def test_main_flag_beats_default(tiny_cfg, monkeypatch):
     configs = []
     monkeypatch.setattr(cli, "run_experiment", lambda config: configs.append(config) or [])
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("[run]\nalgos = ppmc\nseeds = 1\nout = from_cfg\n")
     base = ["run", "--scenario-file", tiny_cfg]
-    assert run_main(base + ["--config", str(cfg), "--seeds", "25", "--out", "out"]) == 0
-    assert run_main(base + ["--config", str(cfg), "--algos", "epst"]) == 0
+    assert run_main(base + ["--algos", "ppmc", "--seeds", "1", "--out", "o", "--dump-tree"]) == 0
     assert run_main(base) == 0
     got = [(c.algorithms, c.seeds, c.out_dir, c.dump_tree) for c in configs]
     assert got == [
-        (("ppmc",), 25, "out", False),
-        (("epst",), 1, "from_cfg", False),
+        (("ppmc",), 1, "o", True),
         (("epst", "ppmc", "pst"), 25, "out", False),
     ]
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(EpstParams), ids=lambda f: f.name)
+def test_main_tree_parameter_flag_beats_scenario_value(tmp_path, monkeypatch, capsys, field):
+    # default + 1 in the file, default + 2 on the flag: both stay valid for
+    # every field, min_subseq_len <= max_subseq_len included
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY_SCENARIO + f"\n[epst]\n{field.name} = {field.default + 1}\n")
+    configs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: configs.append(config) or [])
+    base = ["run", "--scenario-file", str(path)]
+    assert run_main(base) == 0
+    assert run_main(base + [f"--epst.{field.name}", str(field.default + 2)]) == 0
+    got = [getattr(c.params, field.name) for c in configs]
+    assert got == [field.default + 1, field.default + 2]
+    capsys.readouterr()
+    assert run_main(["run", "--help"]) == 0
+    assert f"--epst.{field.name} N" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "second, code, lines",
+    [
+        (True, 0, ["[PASS] one: fine", "[PASS] two: fine", "2/2 checks passed"]),
+        (False, 1, ["[PASS] one: fine", "[FAIL] two: fine", "1/2 checks passed"]),
+    ],
+    ids=["all_pass", "one_fails"],
+)
+def test_main_verify_exit_code(monkeypatch, capsys, second, code, lines):
+    checks = (("one", lambda: (True, "fine")), ("two", lambda: (second, "fine")))
+    monkeypatch.setattr(acceptance, "CHECKS", checks)
+    assert run_main(["verify"]) == code
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_main_verify_has_one_mode():
+    assert run_main(["verify", "--quick"]) == 2
