@@ -15,6 +15,17 @@ masks come from per-age step tables (`_step_rows`), built once per
 (M, M', tol) and indexed by d. Matched nodes are ranked as plain tuples;
 only a node that wins a nonzero cell becomes a `Candidate`, and the
 prediction matrix stores only rows with a nonzero cell.
+
+Downsampled prediction shares that one walk among its R repeats. The step
+mask holds R lanes of W = M' + 1 bits; lane r is bits [r*W, (r+1)*W) and
+matches repeat r's events only. An event's step row is multiplied by its
+spread, the sum of 2^(r*W) over its lanes; every entry is below 2^W, so
+the product copies the row into each lane without carries. The walk's
+used-event mask is shared, and a path's events are the same in each lane,
+so each lane sees exactly its repeat's own walk. A cell is the maximum
+over lanes, a tie keeps the lower lane's `chosen` Candidate, and an
+inhibitory node reports its step mask from the lowest lane it matched in.
+The full context is the one-lane case.
 """
 
 from __future__ import annotations
@@ -160,35 +171,41 @@ def _step_rows(m: int, mp: int, tol: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=1 << 12)
+def _lane_row(m: int, mp: int, tol: int, age: int, spread: int) -> Tuple[int, ...]:
+    """The _step_rows row of `age` copied into the lanes of `spread`."""
+    return tuple(x * spread for x in _step_rows(m, mp, tol)[age])
+
+
 def _event_table(
-    events: Sequence[Tuple[int, int]], t: int, m: int, mp: int, tol: int
+    events: Sequence[Tuple[int, int]], spreads: Sequence[int], t: int, m: int, mp: int, tol: int
 ) -> EventTable:
     """The context at t grouped by channel, in event order. Each event
     becomes (bit, row): its bit in the walk's used-event mask and its
-    _step_rows row, so an item with cumulative delay d matches it at the
-    steps `row[d]`. An event older than M matches at no step and is left
-    out, but its channel keeps its place in the table's order."""
-    rows = _step_rows(m, mp, tol)
+    _step_rows row times its lane spread, so an item with cumulative delay
+    d matches it at the steps `row[d]` of each of its lanes. An event in no
+    lane (spread 0), or older than M, matches at no step and is left out."""
     table: EventTable = {}
-    for k, (time_k, c_k) in enumerate(events):
-        occurrences = table.setdefault(c_k, [])
+    for k, ((time_k, c_k), spread) in enumerate(zip(events, spreads)):
         age = t - time_k
-        if age <= m:
-            occurrences.append((1 << k, rows[age]))
+        if spread and age <= m:
+            table.setdefault(c_k, []).append((1 << k, _lane_row(m, mp, tol, age, spread)))
     return table
 
 
-def _step_masks(tree: EpstTree, table: EventTable) -> Dict[TreeNode, int]:
+def _step_masks(
+    tree: EpstTree, first: Dict[int, List[TreeNode]], table: EventTable, mask: int
+) -> Dict[TreeNode, int]:
     """Map every candidate node (inhibitory, or at least min_subseq_len deep
     with a denominator of at least max(frequency_threshold, 1)) to a bitmask
     of the steps n where its full path-subsequence matches the window at
-    t + n; `table` is the context's _event_table for the trees' M, M' and
-    tol. Nodes are recorded in the order the walk first reaches them. A
-    child that is neither a candidate nor has children of its own is not
-    matched at all, and a matched leaf is not descended into. When
-    min_subseq_len >= 2 no level-1 node is a candidate (inhibitory patterns
-    are at least min_subseq_len long too), so the walk starts from the
-    root's branching level-1 nodes."""
+    t + n, in every lane of `mask`; `table` is the context's _event_table.
+    Nodes are recorded in the order the walk first reaches them. A child
+    that is neither a candidate nor has children of its own is not matched
+    at all, and a matched leaf is not descended into. The walk starts from
+    the level-1 groups `first`: the root's branching ones when
+    min_subseq_len >= 2, as no level-1 node, inhibitory or not, is then a
+    candidate."""
     p = tree.params
     min_len, min_den = p.min_subseq_len, max(p.frequency_threshold, 1)
     results: Dict[TreeNode, int] = {}
@@ -217,9 +234,7 @@ def _step_masks(tree: EpstTree, table: EventTable) -> Dict[TreeNode, int]:
                     if deeper:
                         walk(deeper, seg, used | bit)
 
-    root = tree.root
-    walk(root.branching if min_len > 1 else root.by_channel,
-         (1 << (p.prediction_window + 1)) - 1, 0)
+    walk(first, mask, 0)
     return results
 
 
@@ -234,45 +249,68 @@ def _rank_key(node: TreeNode):
 
 
 def predict_from_context(
-    trees: Sequence[EpstTree], events: Sequence[Tuple[int, int]], t: int
+    trees: Sequence[EpstTree],
+    events: Sequence[Tuple[int, int]],
+    t: int,
+    lanes: Optional[Sequence[Sequence[int]]] = None,
 ) -> PredictionMatrix:
     """Spike-triggered prediction at time t from an explicit (time, channel)
     context: for each tree and each step n in 0..M', the window at t + n is
     matched against the stored patterns and the representative's
     probability is written to the cell (0 when nothing matches). The trees
     share one parameter set (one tree per channel, as `learn_step`
-    assumes), so one event table serves them all. Matches are ranked as
-    plain `Candidate.rank_key` tuples; a Candidate is built only for a node
-    that wins a nonzero cell, and a row is stored only when it has one."""
+    assumes), so one event table serves them all. `lanes` holds the event
+    indices of each repeat (default: one lane of all events), merged as the
+    module docstring says. A Candidate is built only for a node that wins a
+    nonzero cell, and a row only when it has one; a tree whose level-1
+    groups share no channel with the context is not walked."""
     p = trees[0].params
     steps = p.prediction_window
+    w = steps + 1
+    lane_mask = (1 << w) - 1
+    if lanes is None:
+        lanes = [range(len(events))]
+    spreads = [0] * len(events)
+    for r, idx in enumerate(lanes):
+        for k in idx:
+            spreads[k] |= 1 << r * w
+    full = lane_mask * sum(1 << r * w for r in range(len(lanes)))
     matrix = PredictionMatrix(trigger_time=t, steps=steps)
-    table = _event_table(events, t, p.history_window, steps, p.matching_interval)
+    table = _event_table(events, spreads, t, p.history_window, steps, p.matching_interval)
     for tree in trees:
-        matches = _step_masks(tree, table)
+        first = tree.root.branching if p.min_subseq_len > 1 else tree.root.by_channel
+        if first.keys().isdisjoint(table):
+            continue
+        matches = _step_masks(tree, first, table, full)
         if not matches:
             continue
         ranked = []
         inhib: List[Tuple[TreeNode, int]] = []
         for node, mask in matches.items():
             if node.inhibitory is not None:
-                inhib.append((node, mask))
+                lowest = ((mask & -mask).bit_length() - 1) // w * w
+                inhib.append((node, mask >> lowest & lane_mask))
             ranked.append((_rank_key(node), node, mask))
         ranked.sort()
-        row = None
-        remaining = (1 << (steps + 1)) - 1
+        row = bit_of = None
+        remaining = full
         for _, node, mask in ranked:
             take = mask & remaining
             remaining &= ~mask
             if take and node.inhibitory is None and node.numerator > 0:
                 cand = candidate_from_node(node)
+                prob = cand.probability
                 if row is None:
-                    row = matrix.estimates[tree.g] = [0.0] * (steps + 1)
+                    row, bit_of = matrix.estimates[tree.g], [0] * w
                 while take:
-                    n = (take & -take).bit_length() - 1
-                    take &= take - 1
-                    row[n] = cand.probability
-                    matrix.chosen[(tree.g, n)] = cand
+                    low = take & -take
+                    take ^= low
+                    bit = low.bit_length() - 1
+                    n = bit % w
+                    # of two bits of one cell, the lower is in the lower lane
+                    if prob > row[n] or prob == row[n] and bit < bit_of[n]:
+                        row[n], bit_of[n] = prob, bit
+                        matrix.chosen[(tree.g, n)] = cand
             if not remaining:
                 break
         if inhib:
@@ -302,9 +340,11 @@ def sampled_predict(
     repeats: int,
     seed: int,
 ) -> PredictionMatrix:
-    """Run the prediction `repeats` times on contexts downsampled to
-    min(sample_size, context size) events without replacement and keep the
-    cell-wise maximum."""
+    """Predict on `repeats` contexts downsampled to min(sample_size, context
+    size) events without replacement and keep the cell-wise maximum. Repeat
+    r is lane r of one prediction (module docstring): a tie between repeats
+    keeps the earlier repeat's `chosen` Candidate, and an inhibitory node
+    reports its step mask from the first repeat it matched in."""
     if sample_size < 1 or repeats < 1:
         raise ValueError("sample_size and repeats must be >= 1")
     events = context_events(stream, t, trees[0].params.history_window)
@@ -312,28 +352,5 @@ def sampled_predict(
         # every repeat would predict on the same full context
         return predict_from_context(trees, events, t)
     rng = np.random.default_rng(seed)
-    agg: Optional[PredictionMatrix] = None
-    for _ in range(repeats):
-        idx = rng.choice(len(events), size=sample_size, replace=False)
-        subset = [events[i] for i in sorted(idx)]
-        matrix = predict_from_context(trees, subset, t)
-        if agg is None:
-            agg = matrix
-            continue
-        for g, row in matrix.estimates.items():
-            arow = agg.estimates.get(g)
-            if arow is None:
-                agg.estimates[g] = row
-                for n, p in enumerate(row):
-                    if p:
-                        agg.chosen[(g, n)] = matrix.chosen[(g, n)]
-                continue
-            for n, p in enumerate(row):
-                if p > arow[n]:
-                    arow[n] = p
-                    agg.chosen[(g, n)] = matrix.chosen[(g, n)]
-        for g, hits in matrix.inhibitory_hits.items():
-            seen = agg.inhibitory_hits.setdefault(g, [])
-            known = {id(node) for node, _ in seen}
-            seen.extend(h for h in hits if id(h[0]) not in known)
-    return agg
+    lanes = [rng.choice(len(events), size=sample_size, replace=False) for _ in range(repeats)]
+    return predict_from_context(trees, events, t, lanes)

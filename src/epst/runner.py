@@ -115,22 +115,17 @@ def run_epst(
         evs = list(group)
         if variant.inhibition:
             resolve_false_positives(last_resolved, t)
-            # matched inhibitory patterns coinciding with actual spikes
-            for e in evs:
-                idx = bisect.bisect_left(result.trigger_times, t) - 1
-                if idx < 0:
-                    continue
-                n = t - result.trigger_times[idx]
-                matrix = result.matrices[idx]
-                if n > matrix.steps:
-                    continue
-                hits = [
-                    node
-                    for node, mask in matrix.inhibitory_hits.get(e.channel, ())
-                    if mask >> n & 1
-                ]
-                if hits:
-                    inhibitory_maintenance(trees[e.channel], hits)
+            # inhibitory patterns that the latest trigger, made before t, matched at spikes now
+            matrix = result.matrices[-1] if result.matrices else None
+            if matrix is not None and (n := t - matrix.trigger_time) <= matrix.steps:
+                for e in evs:
+                    hits = [
+                        node
+                        for node, mask in matrix.inhibitory_hits.get(e.channel, ())
+                        if mask >> n & 1
+                    ]
+                    if hits:
+                        inhibitory_maintenance(trees[e.channel], hits)
         last_resolved = t
 
         learn_step(trees, stream, t, evs)

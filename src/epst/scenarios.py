@@ -6,13 +6,14 @@ files checked into the package. Stream construction is a pure function of
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from typing import List, Optional, Tuple
 
 from . import datagen
 from .evaluation import SCORED_LABELS
 from .events import EventStream
+from .tree import EpstParams
 
 Interval = Tuple[int, int]
 
@@ -168,7 +169,19 @@ def _parse_scenario(text: str, source: str) -> ScenarioScript:
         )
         script.scoring_pad = value("scoring", "pad", 0)
     if cp.has_section("epst"):
+        known = [f.name for f in fields(EpstParams)]
+        for key in cp["epst"]:
+            if key not in known:
+                raise ValueError(
+                    f"{source}: [epst] {key}: unknown tree parameter; known: {', '.join(known)}"
+                )
         script.epst_overrides = {k: value("epst", k) for k in cp["epst"]}
+        try:
+            EpstParams(**script.epst_overrides)
+        except ValueError as exc:
+            # every EpstParams message starts with the parameter's name
+            key, _, reason = str(exc).partition(" ")
+            raise ValueError(f"{source}: [epst] {key}: {reason}") from None
     return script
 
 

@@ -260,6 +260,11 @@ def test_main_non_integer_tree_parameter_is_usage_error(tmp_path, tiny_cfg, caps
          "[scenario] num_channels", "expected an integer, got 'abc'"),
         (TINY_SCENARIO + "\n[epst]\nhistory_window = abc\n",
          "[epst] history_window", "expected an integer, got 'abc'"),
+        (TINY_SCENARIO + "\n[epst]\nhistory_windw = 16\n",
+         "[epst] history_windw", "unknown tree parameter; known: " + ", ".join(
+             f.name for f in dataclasses.fields(EpstParams))),
+        (TINY_SCENARIO + "\n[epst]\nmin_subseq_len = 9\n",
+         "[epst] min_subseq_len", "must be <= max_subseq_len"),
         (TINY_SCENARIO + "\n[noise]\nintervals = 100-abc\n",
          "[noise] intervals", "expected comma-separated LO-HI intervals, got '100-abc'"),
         (TINY_SCENARIO.replace("mode = structured", "mode = banana"),
@@ -283,6 +288,20 @@ def test_main_bad_scenario_value_is_usage_error(tmp_path, capsys, text, where, p
     assert code == 2
     assert capsys.readouterr().err == f"bad scenario file: {path}: {where}: {problem}\n"
     assert not out.exists()  # no job ran
+
+
+@pytest.mark.parametrize(
+    "entry, where",
+    [("history_windw = 16", "[epst] history_windw: unknown tree parameter"),
+     ("prediction_window = -1", "[epst] prediction_window: must be >= 0")],
+)
+def test_load_scenario_file_checks_tree_parameters(tmp_path, entry, where):
+    # a library caller gets the error at load time, not when it builds EpstParams
+    path = tmp_path / "bad.cfg"
+    path.write_text(TINY_SCENARIO + f"\n[epst]\n{entry}\n")
+    with pytest.raises(ValueError) as info:
+        load_scenario_file(path)
+    assert str(info.value).startswith(f"{path}: {where}")
 
 
 def test_main_param_override_changes_output(tmp_path, tiny_cfg):

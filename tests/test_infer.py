@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epst import runner
 from epst.acceptance import _injective_match, random_stream
 from epst.events import Event, EventStream, window_of
-from epst.extensions import record_false_positive
+from epst.extensions import VARIANTS, record_false_positive
 from epst.infer import (
     Candidate,
     PredictionMatrix,
@@ -25,6 +26,7 @@ from epst.infer import (
     predict_window,
     sampled_predict,
 )
+from epst.runner import SamplingConfig, run_epst
 from epst.tree import EpstParams, EpstTree, learn_stream
 
 
@@ -415,6 +417,95 @@ def test_sampled_equals_max_over_single_runs():
         for n in range(agg.steps + 1):
             assert agg.probability(g, n) == max(m.probability(g, n) for m in singles)
     assert set(agg.chosen) == {(g, n) for n, g, _ in agg.cells}
+
+
+def _sampled_reference(trees, stream, t, sample_size, repeats, seed):
+    """`sampled_predict` as one prediction per repeat on the same rng draws,
+    merged cell by cell: the maximum over repeats, a tie keeping the earlier
+    repeat's Candidate, and each inhibitory node's step mask taken from the
+    first repeat it matched in."""
+    events = context_events(stream, t, trees[0].params.history_window)
+    if sample_size >= len(events):
+        return predict_from_context(trees, events, t)
+    rng = np.random.default_rng(seed)
+    agg = PredictionMatrix(trigger_time=t, steps=trees[0].params.prediction_window)
+    for _ in range(repeats):
+        idx = rng.choice(len(events), size=sample_size, replace=False)
+        matrix = predict_from_context(trees, [events[i] for i in sorted(idx)], t)
+        for g, row in matrix.estimates.items():
+            arow = agg.estimates[g]
+            for n, p in enumerate(row):
+                if p > arow[n]:
+                    arow[n] = p
+                    agg.chosen[(g, n)] = matrix.chosen[(g, n)]
+        for g, hits in matrix.inhibitory_hits.items():
+            seen = agg.inhibitory_hits.setdefault(g, [])
+            known = {node for node, _ in seen}
+            seen.extend(h for h in hits if h[0] not in known)
+    return agg
+
+
+def assert_same_prediction(got, want):
+    assert dict(got.estimates) == dict(want.estimates)
+    # the representative objects' values, not only the cells they explain
+    assert got.chosen == want.chosen
+    hits = {g: dict(pairs) for g, pairs in got.inhibitory_hits.items()}
+    assert hits == {g: dict(pairs) for g, pairs in want.inhibitory_hits.items()}
+    assert all(len(hits[g]) == len(pairs) for g, pairs in got.inhibitory_hits.items())
+
+
+@pytest.mark.parametrize("tol", [0, 1, 2])
+@pytest.mark.parametrize("min_len", [1, 2])
+def test_sampled_matches_per_repeat_reference(min_len, tol):
+    # up to six lanes of M' + 1 = 29 bits: step masks of up to 174 bits
+    p = EpstParams(
+        history_window=24,
+        max_subseq_len=3,
+        max_spike_interval=24,
+        min_subseq_len=min_len,
+        matching_interval=tol,
+    )
+    stream = random_stream(40 + 3 * min_len + tol, 90, 3)
+    trees = learn_stream(stream, p)
+    for tree in trees:
+        for e in stream.events[20:70:5]:
+            record_false_positive(tree, window_of(stream, e.time, p.history_window))
+    assert all(any(n.is_inhibitory for n in tree.iter_nodes()) for tree in trees)
+    hits = cells = 0
+    for i, e in enumerate(stream.events[30:90:4]):
+        t = e.time
+        for repeats in range(1, 7):
+            for k in (2, 4):
+                seed = 100 * i + 10 * repeats + k
+                got = sampled_predict(trees, stream, t, k, repeats, seed)
+                assert_same_prediction(got, _sampled_reference(trees, stream, t, k, repeats, seed))
+                hits += len(got.inhibitory_hits)
+                cells += len(got.chosen)
+    assert hits > 0 and cells > 0
+
+
+def false_negative_counts(trees):
+    return [
+        (node.sort_key(), node.inhibitory.false_negative_count)
+        for tree in trees for node in tree.iter_nodes() if node.is_inhibitory
+    ]
+
+
+def test_sampled_run_matches_per_repeat_reference(monkeypatch):
+    # inhibition learns from the sampled cells and hits: a wrong cell shows
+    # in the trees, and a wrong hit mask in the false-negative counts
+    stream = random_stream(44, 300, 4)
+    params = EpstParams(history_window=24, max_spike_interval=24)
+    sampling = SamplingConfig(4, 3, 5)
+    got = run_epst(stream, params, VARIANTS["epst_ip"], sampling)
+    monkeypatch.setattr(runner, "sampled_predict", _sampled_reference)
+    want = run_epst(stream, params, VARIANTS["epst_ip"], sampling)
+    counts = false_negative_counts(want.trees)
+    assert sum(count for _, count in counts) > 0
+    assert false_negative_counts(got.trees) == counts
+    assert [tree.dump() for tree in got.trees] == [tree.dump() for tree in want.trees]
+    assert [m.cells for m in got.matrices] == [m.cells for m in want.matrices]
+    assert sum(len(m.cells) for m in got.matrices) > 0
 
 
 def test_sampling_argument_validation():
