@@ -1,11 +1,12 @@
 """One benchmark run end to end: build the structured-interference stream,
-run the event-based predictor and the PPM-C baseline, and print the binned
-error traces side by side.
+run the event-based predictor and the PPM-C baseline, each scored by the
+scenario's rule through `ScenarioScript.score`, and print the binned error
+traces side by side.
 
 Run: python3 demos/benchmark_walkthrough.py   (about 10 seconds)
 """
 
-from epst import EpstParams, load_scenario, run_epst, run_vmm, score_epst, score_vmm
+from epst import EpstParams, load_scenario
 
 scenario = load_scenario("structured_same")
 stream = scenario.build_stream(seed=0)
@@ -15,9 +16,9 @@ print(
     f"{scenario.interference_intervals}"
 )
 
-epst_run = run_epst(stream, EpstParams())
-epst_trace = score_epst(epst_run, stream, scenario.scoring_mode)
-vmm_trace = score_vmm(run_vmm(stream, "ppmc"), scenario.scoring_mode)
+params = EpstParams()
+epst_trace, _ = scenario.score("epst", stream, params)
+vmm_trace, _ = scenario.score("ppmc", stream, params)
 
 print(f"{'bin':>6s} {'epst':>8s} {'ppmc':>8s}")
 for (start, e_mean, e_n), (_, v_mean, _) in zip(epst_trace.bins, vmm_trace.bins):

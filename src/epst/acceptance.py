@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,10 +23,9 @@ from .evaluation import (
     aggregate_runs,
     count_false_positives,
     score_epst,
-    score_structured,
-    score_vmm,
+    sum_counts,
 )
-from .extensions import VARIANTS, record_false_positive
+from .extensions import record_false_positive
 from .infer import (
     context_events,
     entropy,
@@ -34,7 +33,7 @@ from .infer import (
     predict_window,
     sampled_predict,
 )
-from .runner import SamplingConfig, run_epst, run_vmm
+from .runner import EpstRunResult, SamplingConfig, run_epst
 from .scenarios import load_scenario
 from .tree import EpstParams, EpstTree, learn_stream
 from .vmm import VmmModel
@@ -210,28 +209,42 @@ def check_count_oracle() -> Verdict:
     return mismatches == 0, f"{checked} random streams replayed, {mismatches} mismatching trees"
 
 
-def _structured_runs(scenario_id: str, seeds: Sequence[int], algos: Sequence[str]):
+def _runs(
+    scenario_id: str, seeds: Sequence[int], algos: Sequence[str], **overrides: int
+) -> Iterator[Tuple[str, EventStream, ErrorTrace, Optional[EpstRunResult]]]:
+    """Every (seed, algorithm) run of a built-in scenario, scored by its
+    rule: (algorithm, stream, trace, EPST run or None), seed by seed.
+    `overrides` set tree parameters on top of the scenario's [epst] ones."""
     scenario = load_scenario(scenario_id)
-    params = EpstParams(**scenario.epst_overrides)
-    out: Dict[str, List[ErrorTrace]] = {a: [] for a in algos}
+    params = EpstParams(**{**scenario.epst_overrides, **overrides})
     for seed in seeds:
         stream = scenario.build_stream(seed)
         for algo in algos:
-            if algo in ("ppmc", "pst"):
-                trace = score_vmm(run_vmm(stream, algo), scenario.scoring_mode)
-            else:
-                run = run_epst(stream, params, VARIANTS[algo])
-                trace = score_epst(
-                    run, stream, scenario.scoring_mode, pad=scenario.scoring_pad
-                )
-            out[algo].append(trace)
-    return {a: aggregate_runs(ts) for a, ts in out.items()}
+            yield (algo, stream, *scenario.score(algo, stream, params))
+
+
+def _aggregated(scenario_id: str, seeds: Sequence[int], algos: Sequence[str]):
+    """Each algorithm's trace, aggregated over the seeds."""
+    traces: Dict[str, List[ErrorTrace]] = {a: [] for a in algos}
+    for algo, _, trace, _ in _runs(scenario_id, seeds, algos):
+        traces[algo].append(trace)
+    return {a: aggregate_runs(ts) for a, ts in traces.items()}
+
+
+def _tail_means(scenario_id: str, algos: Sequence[str], start: int, **overrides: int):
+    """Each algorithm's error from `start` to the stream's last event,
+    averaged over the secondary seeds."""
+    tails: Dict[str, List[float]] = {a: [] for a in algos}
+    runs = _runs(scenario_id, range(SECONDARY_SEEDS), algos, **overrides)
+    for algo, stream, trace, _ in runs:
+        tails[algo].append(trace.mean_over(start, stream.events[-1].time))
+    return {a: float(np.mean(v)) for a, v in tails.items()}
 
 
 def check_structured_same() -> Verdict:
     """Same interference pattern twice: low clean error, VMM degradation
     during interference, and re-recognition of the repeated pattern."""
-    traces = _structured_runs("structured_same", range(STRUCTURED_SEEDS), ["epst", "ppmc", "pst"])
+    traces = _aggregated("structured_same", range(STRUCTURED_SEEDS), ["epst", "ppmc", "pst"])
     epst = traces["epst"]
     clean = epst.mean_over(3000, 5000)
     vmm_ok = True
@@ -255,7 +268,7 @@ def check_structured_same() -> Verdict:
 def check_structured_diff() -> Verdict:
     """A novel second interference pattern produces a learning bump that
     decays below half its peak before the interval ends."""
-    traces = _structured_runs("structured_diff", range(SECONDARY_SEEDS), ["epst"])
+    traces = _aggregated("structured_diff", range(SECONDARY_SEEDS), ["epst"])
     epst = traces["epst"]
     steady = epst.mean_over(3000, 5000)
     bins = [(b, epst.mean_over(b, b + 250)) for b in range(7000, 8000, 250)]
@@ -268,21 +281,11 @@ def check_structured_diff() -> Verdict:
 def check_random_noise() -> Verdict:
     """Additive random events leave the signal error unchanged for the
     event-based predictor while both order-based baselines degrade."""
-    scenario = load_scenario("random_noise")
-    params = EpstParams(**scenario.epst_overrides)
-    diffs = {"epst": [], "ppmc": [], "pst": []}
-    for seed in range(SECONDARY_SEEDS):
-        stream = scenario.build_stream(seed)
-        for algo in diffs:
-            if algo == "epst":
-                trace = score_epst(
-                    run_epst(stream, params), stream, scenario.scoring_mode
-                )
-            else:
-                trace = score_vmm(run_vmm(stream, algo), scenario.scoring_mode)
-            noisy = (trace.mean_over(7000, 8000) + trace.mean_over(9000, 10000)) / 2
-            clean = (trace.mean_over(6000, 7000) + trace.mean_over(8000, 9000)) / 2
-            diffs[algo].append(noisy - clean)
+    diffs: Dict[str, List[float]] = {"epst": [], "ppmc": [], "pst": []}
+    for algo, _, trace, _ in _runs("random_noise", range(SECONDARY_SEEDS), tuple(diffs)):
+        noisy = (trace.mean_over(7000, 8000) + trace.mean_over(9000, 10000)) / 2
+        clean = (trace.mean_over(6000, 7000) + trace.mean_over(8000, 9000)) / 2
+        diffs[algo].append(noisy - clean)
     epst_diff = abs(float(np.mean(diffs["epst"])))
     ppmc_excess = float(np.mean(diffs["ppmc"]))
     pst_excess = float(np.mean(diffs["pst"]))
@@ -296,19 +299,11 @@ def check_random_noise() -> Verdict:
 def check_jitter() -> Verdict:
     """Wider matching intervals recover jittered patterns; at width 5 the
     predictor matches the order-based baselines."""
-    scenario = load_scenario("jitter")
-    post: Dict[str, List[float]] = {"tol0": [], "tol2": [], "tol5": [], "ppmc": [], "pst": []}
-    for seed in range(SECONDARY_SEEDS):
-        stream = scenario.build_stream(seed)
-        span = stream.events[-1].time
-        for tol in (0, 2, 5):
-            run = run_epst(stream, EpstParams(matching_interval=tol))
-            trace = score_epst(run, stream, "jitter", pad=scenario.scoring_pad)
-            post[f"tol{tol}"].append(trace.mean_over(6500, span))
-        for algo in ("ppmc", "pst"):
-            trace = score_vmm(run_vmm(stream, algo), "jitter")
-            post[algo].append(trace.mean_over(6500, span))
-    means = {k: float(np.mean(v)) for k, v in post.items()}
+    means = {
+        f"tol{tol}": _tail_means("jitter", ["epst"], 6500, matching_interval=tol)["epst"]
+        for tol in (0, 2, 5)
+    }
+    means.update(_tail_means("jitter", ["ppmc", "pst"], 6500))
     vmm_best = min(means["ppmc"], means["pst"])
     ok = (
         means["tol0"] > means["tol2"] > means["tol5"]
@@ -323,21 +318,7 @@ def check_jitter() -> Verdict:
 def check_jitter_dropout() -> Verdict:
     """With dropout on top of jitter, the tolerance-5 predictor beats both
     order-based baselines by at least 0.05."""
-    scenario = load_scenario("jitter_dropout")
-    post = {"epst": [], "ppmc": [], "pst": []}
-    for seed in range(SECONDARY_SEEDS):
-        stream = scenario.build_stream(seed)
-        span = stream.events[-1].time
-        run = run_epst(stream, EpstParams(matching_interval=5))
-        post["epst"].append(
-            score_epst(run, stream, "jitter_dropout", pad=scenario.scoring_pad)
-            .mean_over(10000, span)
-        )
-        for algo in ("ppmc", "pst"):
-            post[algo].append(
-                score_vmm(run_vmm(stream, algo), "jitter_dropout").mean_over(10000, span)
-            )
-    means = {k: float(np.mean(v)) for k, v in post.items()}
+    means = _tail_means("jitter_dropout", ["epst", "ppmc", "pst"], 10000, matching_interval=5)
     ok = (
         means["ppmc"] - means["epst"] >= 0.05 and means["pst"] - means["epst"] >= 0.05
     )
@@ -364,17 +345,11 @@ def check_et0_false_positives() -> Verdict:
     """With extension threshold 0, interference explodes the false positive
     counts of the plain variant; inhibition zeroes them quickly after the
     interference ends and pruning alone is strictly slower."""
-    scenario = load_scenario("structured_et0")
-    params = EpstParams(**scenario.epst_overrides)
     algos = ("epst", "epst_i", "epst_p", "epst_ip")
-    summed: Dict[str, Dict[int, int]] = {a: {} for a in algos}
-    for seed in ET0_SEEDS:
-        stream = scenario.build_stream(seed)
-        for algo in algos:
-            run = run_epst(stream, params, VARIANTS[algo])
-            for b, c in count_false_positives(run, stream):
-                summed[algo][b] = summed[algo].get(b, 0) + c
-    counts = {a: sorted(d.items()) for a, d in summed.items()}
+    fps: Dict[str, List[List[Tuple[int, int]]]] = {a: [] for a in algos}
+    for algo, stream, _, run in _runs("structured_et0", ET0_SEEDS, algos):
+        fps[algo].append(count_false_positives(run, stream))
+    counts = {a: sum_counts(c) for a, c in fps.items()}
 
     pre = sum(c for b, c in counts["epst"] if 2000 <= b < 5000)
     inside = sum(
@@ -456,8 +431,7 @@ def check_performance() -> Verdict:
     still clears the structured clean-error bar at 0.08."""
     scenario = load_scenario("structured_same")
     stream = scenario.build_stream(0)
-    run = run_epst(stream, EpstParams())
-    trees = run.trees
+    trees = learn_stream(stream, EpstParams())
 
     dense = stream
     for s in range(70, 110):
@@ -475,7 +449,7 @@ def check_performance() -> Verdict:
     speedup = full_s / sampled_s if sampled_s > 0 else math.inf
 
     sampled_run = run_epst(stream, EpstParams(), sampling=SamplingConfig(8, 4, 0))
-    clean = score_structured(sampled_run, stream)["combined"].mean_over(3000, 5000)
+    clean = score_epst(sampled_run, stream, scenario.scoring_mode).mean_over(3000, 5000)
     ok = speedup >= 3.0 and clean < 0.08
     return ok, f"speedup={speedup:.2f}x (>=3), sampled clean error={clean:.4f} (<0.08)"
 

@@ -28,18 +28,12 @@ from .evaluation import (
     aggregate_runs,
     count_false_positives,
     false_positive_csv,
-    score_epst,
-    score_vmm,
+    sum_counts,
 )
-from .extensions import VARIANTS
-from .runner import run_epst, run_vmm
-from .scenarios import SCENARIO_IDS, ScenarioScript, load_scenario, load_scenario_file
+from .scenarios import ALGORITHMS, SCENARIO_IDS, ScenarioScript, load_scenario, load_scenario_file
 from .svg import fp_chart, trace_chart
 from .tree import EpstParams
 
-EPST_ALGOS = tuple(VARIANTS)
-VMM_ALGOS = ("ppmc", "pst")
-ALL_ALGOS = EPST_ALGOS + VMM_ALGOS
 DEFAULT_ALGOS = ("epst", "ppmc", "pst")
 DEFAULT_SEEDS = 25
 
@@ -64,7 +58,7 @@ class ExperimentConfig:
             raise ValueError("seeds must be >= 1")
         if not self.algorithms:
             raise ValueError("no algorithms given")
-        unknown = [a for a in self.algorithms if a not in ALL_ALGOS]
+        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms: {', '.join(unknown)}")
         # a repeated algorithm would run every job and write every file twice
@@ -77,19 +71,19 @@ class ExperimentConfig:
 
 
 def _run_one(config: ExperimentConfig, algo: str, seed: int):
-    """One (algorithm, seed) run; returns picklable scoring artifacts."""
+    """One (algorithm, seed) run; returns picklable scoring artifacts: the
+    trace, and for an EPST variant the false-positive counts and the tree
+    dump where an artifact is written from them (else None)."""
     scenario = config.scenario
     stream = scenario.build_stream(seed)
-    mode = scenario.scoring_mode
-    if algo in VMM_ALGOS:
-        trace = score_vmm(run_vmm(stream, algo), mode, scenario.bin_width)
-        return trace, None, None
-    run = run_epst(stream, config.params, VARIANTS[algo])
-    trace = score_epst(run, stream, mode, scenario.bin_width, scenario.scoring_pad)
-    fp = count_false_positives(run, stream, bin_width=scenario.bin_width)
-    dump = None
-    if config.dump_tree:
-        dump = "".join(tree.dump() for tree in run.trees)
+    trace, run = scenario.score(algo, stream, config.params)
+    fp = dump = None
+    if run is not None:
+        if scenario.scenario_id == "structured_et0":
+            fp = count_false_positives(run, stream, bin_width=scenario.bin_width)
+        # the dump written is the last seed's
+        if config.dump_tree and seed == config.seeds - 1:
+            dump = "".join(tree.dump() for tree in run.trees)
     return trace, fp, dump
 
 
@@ -117,19 +111,16 @@ def run_experiment(config: ExperimentConfig) -> List[str]:
             fh.write(traces[algo].to_csv())
         written.append(path)
 
-        if algo in EPST_ALGOS and sid == "structured_et0":
-            summed: Dict[int, int] = {}
-            for _, fp, _ in algo_results:
-                for b, c in fp:
-                    summed[b] = summed.get(b, 0) + c
-            fp_counts[algo] = sorted(summed.items())
+        fps = [fp for _, fp, _ in algo_results if fp is not None]
+        if fps:
+            fp_counts[algo] = sum_counts(fps)
             path = os.path.join(config.out_dir, f"fp_{sid}_{algo}.csv")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(false_positive_csv(fp_counts[algo], algo))
             written.append(path)
 
-        if config.dump_tree and algo in EPST_ALGOS:
-            dump = algo_results[-1][2]
+        dump = algo_results[-1][2]
+        if dump is not None:
             path = os.path.join(config.out_dir, f"tree_{sid}_{algo}.txt")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(dump)
@@ -165,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument(
         "--algos",
         default=",".join(DEFAULT_ALGOS),
-        help=f"comma separated, non-empty and distinct subset of {', '.join(ALL_ALGOS)} "
+        help=f"comma separated, non-empty and distinct subset of {', '.join(ALGORITHMS)} "
         f"(default %(default)s)",
     )
     runp.add_argument("--seeds", type=int, default=DEFAULT_SEEDS, help="default %(default)s")

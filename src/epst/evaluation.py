@@ -329,6 +329,16 @@ def count_false_positives(
     return sorted(counts.items())
 
 
+def sum_counts(runs: Iterable[Sequence[Tuple[int, int]]]) -> List[Tuple[int, int]]:
+    """Binned counts summed over runs: (bin start, total) for every bin
+    that any run has, in bin order."""
+    summed: Dict[int, int] = {}
+    for counts in runs:
+        for start, n in counts:
+            summed[start] = summed.get(start, 0) + n
+    return sorted(summed.items())
+
+
 def false_positive_csv(counts: Sequence[Tuple[int, int]], algorithm: str) -> str:
     lines = ["bin_start,count,algorithm"]
     for start, n in counts:

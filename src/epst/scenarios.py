@@ -11,11 +11,17 @@ from importlib import resources
 from typing import List, Optional, Tuple
 
 from . import datagen
-from .evaluation import SCORED_LABELS
+from .evaluation import SCORED_LABELS, ErrorTrace, score_epst, score_vmm
 from .events import EventStream
+from .extensions import VARIANTS
+from .runner import EpstRunResult, run_epst, run_vmm
 from .tree import EpstParams
 
 Interval = Tuple[int, int]
+
+VMM_ALGOS = ("ppmc", "pst")
+# every algorithm a scenario can score: the EPST variants, then the baselines
+ALGORITHMS = tuple(VARIANTS) + VMM_ALGOS
 
 SCENARIO_IDS = (
     "structured_same",
@@ -77,6 +83,18 @@ class ScenarioScript:
                 self.dropout_onset_time,
             )
         return stream
+
+    def score(
+        self, algo: str, stream: EventStream, params: EpstParams
+    ) -> Tuple[ErrorTrace, Optional[EpstRunResult]]:
+        """One algorithm of ALGORITHMS run over `stream` and scored by this
+        scenario's rule: the error trace, and the EPST run (None for a VMM
+        baseline). `params` sets the trees of an EPST variant."""
+        if algo in VMM_ALGOS:
+            trace = score_vmm(run_vmm(stream, algo), self.scoring_mode, self.bin_width)
+            return trace, None
+        run = run_epst(stream, params, VARIANTS[algo])
+        return score_epst(run, stream, self.scoring_mode, self.bin_width, self.scoring_pad), run
 
 
 _INTERVALS = "comma-separated LO-HI intervals"
@@ -168,6 +186,22 @@ def _parse_scenario(text: str, source: str) -> ScenarioScript:
             expected=f"one of {', '.join(SCORED_LABELS)}",
         )
         script.scoring_pad = value("scoring", "pad", 0)
+    # every default lies in its range, so a value out of range is one the file set
+    ordered, cycle = "LO-HI intervals with LO < HI", datagen.CYCLE_LENGTH
+    for section, key, held, rule in (
+        ("scenario", "num_channels", script.num_channels >= 1, ">= 1"),
+        # the base signal needs at least one whole cycle
+        ("scenario", "total_events", script.total_events >= cycle, f">= {cycle}"),
+        ("scenario", "bin_width", script.bin_width >= 1, ">= 1"),
+        ("interference", "intervals", all(lo < hi for lo, hi in script.interference_intervals),
+         ordered),
+        ("noise", "intervals", all(lo < hi for lo, hi in script.noise_intervals), ordered),
+        ("jitter", "max", script.jitter_max >= 0, ">= 0"),
+        ("dropout", "p", 0.0 <= script.dropout_p <= 1.0, "in [0, 1]"),
+    ):
+        if not held:
+            raw = cp[section][key]
+            raise ValueError(f"{source}: [{section}] {key}: must be {rule}, got {raw!r}")
     if cp.has_section("epst"):
         known = [f.name for f in fields(EpstParams)]
         for key in cp["epst"]:

@@ -275,6 +275,22 @@ def test_main_non_integer_tree_parameter_is_usage_error(tmp_path, tiny_cfg, caps
         (TINY_SCENARIO + "\n[noise]\n", "[noise] intervals", "missing"),
         (TINY_SCENARIO + "\n[interference]\nintervals = 100-200\npattern_seed_offsets = 1,2\n",
          "[interference] pattern_seed_offsets", "expected 1, one per interval, got 2"),
+        (TINY_SCENARIO.replace("total_events = 120", "total_events = 10"),
+         "[scenario] total_events", "must be >= 60, got '10'"),
+        (TINY_SCENARIO.replace("num_channels = 10", "num_channels = 0"),
+         "[scenario] num_channels", "must be >= 1, got '0'"),
+        (TINY_SCENARIO.replace("num_channels = 10", "num_channels = -3"),
+         "[scenario] num_channels", "must be >= 1, got '-3'"),
+        (TINY_SCENARIO.replace("bin_width = 250", "bin_width = 0"),
+         "[scenario] bin_width", "must be >= 1, got '0'"),
+        (TINY_SCENARIO + "\n[dropout]\np = 1.5\nonset_time = 100\n",
+         "[dropout] p", "must be in [0, 1], got '1.5'"),
+        (TINY_SCENARIO + "\n[jitter]\nonset_event = 50\nmax = -2\n",
+         "[jitter] max", "must be >= 0, got '-2'"),
+        (TINY_SCENARIO + "\n[noise]\nintervals = 900-100\n",
+         "[noise] intervals", "must be LO-HI intervals with LO < HI, got '900-100'"),
+        (TINY_SCENARIO + "\n[interference]\nintervals = 900-100\npattern_seed_offsets = 1\n",
+         "[interference] intervals", "must be LO-HI intervals with LO < HI, got '900-100'"),
     ],
 )
 def test_main_bad_scenario_value_is_usage_error(tmp_path, capsys, text, where, problem):

@@ -1,12 +1,14 @@
 """Scoring tests built on hand-constructed prediction grids, so every
 expected probability is a short exact calculation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from epst import evaluation
+from epst.datagen import apply_jitter
 from epst.events import Event, EventStream
 from epst.evaluation import (
     ErrorTrace,
@@ -19,10 +21,12 @@ from epst.evaluation import (
     score_epst,
     score_structured,
     score_vmm,
+    sum_counts,
 )
 from epst.extensions import FALSE_POSITIVE_THRESHOLD, VARIANTS
 from epst.infer import PredictionMatrix
-from epst.runner import EpstRunResult, VmmRunResult, run_epst
+from epst.runner import EpstRunResult, VmmRunResult, run_epst, run_vmm
+from epst.scenarios import ALGORITHMS, VMM_ALGOS, ScenarioScript
 from epst.tree import EpstParams
 
 from test_runner import noisy_stream
@@ -247,6 +251,14 @@ def test_count_false_positives_hand_case():
     assert counts == [(0, 2), (250, 0)]
 
 
+def test_sum_counts_hand_case():
+    # a bin one run lacks keeps the others' count, a shared bin adds up,
+    # and the sums come in bin order
+    runs = [[(250, 1), (500, 2)], [(0, 3), (250, 4)], [(750, 0)]]
+    assert sum_counts(runs) == [(0, 3), (250, 5), (500, 2), (750, 0)]
+    assert sum_counts([]) == []
+
+
 def test_false_positive_csv_format():
     assert false_positive_csv([(0, 3), (250, 0)], "epst_i") == (
         "bin_start,count,algorithm\n0,3,epst_i\n250,0,epst_i\n"
@@ -357,3 +369,27 @@ def test_cell_walk_matches_per_cell_on_a_real_run(monkeypatch):
     counts = count_false_positives(run, stream)
     assert sum(n for _, n in counts) > 100
     assert counts == per_cell_false_positives(run, stream)
+
+
+# ---------------------------------------------------------------------------
+# one run scored by a scenario's rule
+
+
+# every algorithm once, the scoring modes taken in turn
+@pytest.mark.parametrize("algo, mode", zip(ALGORITHMS, itertools.cycle(SCORING_MODES)))
+def test_scenario_score_is_the_hand_composition(algo, mode):
+    """ScenarioScript.score runs the named algorithm and scores it with the
+    scenario's mode, bin width and pad, as the two calls would by hand.
+    The stream is jittered so that the pad changes the jitter scores."""
+    stream = apply_jitter(noisy_stream(), 7, 50, 2)
+    scenario = ScenarioScript("hand", scoring_mode=mode, bin_width=100, scoring_pad=2)
+    params = EpstParams()
+    trace, run = scenario.score(algo, stream, params)
+    if algo in VMM_ALGOS:
+        assert run is None
+        want = score_vmm(run_vmm(stream, algo), mode, 100)
+    else:
+        hand = run_epst(stream, params, VARIANTS[algo])
+        assert [t.dump() for t in run.trees] == [t.dump() for t in hand.trees]
+        want = score_epst(hand, stream, mode, 100, 2)
+    assert (trace.bin_width, trace.bins) == (want.bin_width, want.bins)
