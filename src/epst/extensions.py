@@ -14,7 +14,7 @@ from typing import Iterable, List
 
 from .events import HistoryWindow, enumerate_subsequences
 from .infer import entropy
-from .tree import EpstTree, InhibitoryRecord, TreeNode
+from .tree import EpstTree, TreeNode
 
 # a cell estimated at or above this is a confident prediction: without an
 # event there, in-run resolution learns from it and count_false_positives
@@ -64,13 +64,13 @@ def record_false_positive(tree: EpstTree, window: HistoryWindow) -> int:
             node = child
         if _is_excitatory(node) or node.is_inhibitory:
             continue
-        node.inhibitory = InhibitoryRecord()
+        node.inhibitory = 0
         added += 1
     return added
 
 
 def _drop_inhibitory(tree: EpstTree, node: TreeNode) -> None:
-    """Delete an inhibitory record; remove the node if nothing below it
+    """Clear a node's inhibitory mark; remove the node if nothing below it
     survives, trimming bare structural ancestors."""
     node.inhibitory = None
     while (
@@ -88,15 +88,14 @@ def inhibitory_maintenance(
     tree: EpstTree, matched_inhibitory: Iterable[TreeNode]
 ) -> List[TreeNode]:
     """Called on an actual g spike with the inhibitory patterns matched for
-    it: each caused a false negative; count them and destroy records past
+    it: each caused a false negative; count them and destroy patterns past
     FALSE_NEGATIVE_LIMIT. Returns the nodes removed."""
     removed = []
     for node in matched_inhibitory:
-        rec = node.inhibitory
-        if rec is None:
+        if node.inhibitory is None:
             continue
-        rec.false_negative_count += 1
-        if rec.false_negative_count > FALSE_NEGATIVE_LIMIT:
+        node.inhibitory += 1
+        if node.inhibitory > FALSE_NEGATIVE_LIMIT:
             removed.append(node)
             _drop_inhibitory(tree, node)
     return removed
@@ -107,27 +106,26 @@ def prune_entropy(tree: EpstTree) -> int:
     strictly between 0 and 1. Subtrees are removed atomically: a node with
     a surviving descendant stays as structure with its counts intact.
     Returns the number of nodes removed."""
+    before = tree.node_count
+    _prune_below(tree, tree.root)
+    return before - tree.node_count
 
-    removed = 0
 
-    def walk(node: TreeNode) -> bool:
-        """Returns True if `node` survives."""
-        nonlocal removed
-        survivors = False
-        for key in sorted(node.children):
-            child = node.children[key]
-            if walk(child):
-                survivors = True
-            else:
-                node.detach(key)
-                tree.node_count -= 1
-                removed += 1
-        if node.item is None or survivors or node.is_inhibitory:
-            return True
-        if node.denominator < 1:
-            return False  # bare structure with nothing below it
-        return entropy(node.numerator, node.denominator) == 0.0
-
-    walk(tree.root)
-    return removed
+def _prune_below(tree: EpstTree, node: TreeNode) -> bool:
+    """prune_entropy's walk: detach every child of `node` that does not
+    survive, each once its own children are gone. Returns True if `node`
+    survives. Module level, like `infer._step_masks`, so a call leaves no
+    reference cycle."""
+    survivors = False
+    for key in sorted(node.children):
+        if _prune_below(tree, node.children[key]):
+            survivors = True
+        else:
+            node.detach(key)
+            tree.node_count -= 1
+    if node.item is None or survivors or node.is_inhibitory:
+        return True
+    if node.denominator < 1:
+        return False  # bare structure with nothing below it
+    return entropy(node.numerator, node.denominator) == 0.0
 

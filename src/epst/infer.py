@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -194,48 +194,47 @@ def _event_table(
 
 
 def _step_masks(
-    tree: EpstTree, first: Dict[int, List[TreeNode]], table: EventTable, mask: int
-) -> Dict[TreeNode, int]:
-    """Map every candidate node (inhibitory, or at least min_subseq_len deep
-    with a denominator of at least max(frequency_threshold, 1)) to a bitmask
-    of the steps n where its full path-subsequence matches the window at
-    t + n, in every lane of `mask`; `table` is the context's _event_table.
-    Nodes are recorded in the order the walk first reaches them. A child
-    that is neither a candidate nor has children of its own is not matched
-    at all, and a matched leaf is not descended into. The walk starts from
-    the level-1 groups `first`: the root's branching ones when
-    min_subseq_len >= 2, as no level-1 node, inhibitory or not, is then a
-    candidate."""
-    p = tree.params
-    min_len, min_den = p.min_subseq_len, max(p.frequency_threshold, 1)
-    results: Dict[TreeNode, int] = {}
-
-    def walk(groups: Dict[int, List[TreeNode]], mask: int, used: int):
-        for c, occurrences in table.items():
-            children = groups.get(c)
-            if children is None:
+    groups: Mapping[int, List[TreeNode]],
+    mask: int,
+    used: int,
+    table: EventTable,
+    results: Dict[TreeNode, int],
+    min_len: int,
+    min_den: int,
+) -> None:
+    """Record in `results` every candidate node below `groups` (inhibitory,
+    or at least `min_len` deep with a denominator of at least `min_den`)
+    with a bitmask of the steps n where its full path-subsequence matches
+    the window at t + n, in every lane of `mask`, using no event of `used`;
+    `table` is the context's _event_table. Nodes are recorded in the order
+    the walk first reaches them. A child that is neither a candidate nor has
+    children of its own is not matched at all, and a matched leaf is not
+    descended into. The walk is a module-level function taking its state as
+    arguments: a nested recursive function refers to itself through its
+    closure, a reference cycle per call that only the cyclic garbage
+    collector frees."""
+    for c, occurrences in table.items():
+        children = groups.get(c)
+        if children is None:
+            continue
+        for child in children:
+            keep = child.inhibitory is not None or (
+                child.depth >= min_len and child.denominator >= min_den
+            )
+            deeper = child.by_channel
+            if not (keep or deeper):
                 continue
-            for child in children:
-                keep = child.inhibitory is not None or (
-                    child.depth >= min_len and child.denominator >= min_den
-                )
-                deeper = child.by_channel
-                if not (keep or deeper):
+            d = child.cum_delay
+            for bit, row in occurrences:
+                if used & bit:
                     continue
-                d = child.cum_delay
-                for bit, row in occurrences:
-                    if used & bit:
-                        continue
-                    seg = mask & row[d]
-                    if not seg:
-                        continue
-                    if keep:
-                        results[child] = results.get(child, 0) | seg
-                    if deeper:
-                        walk(deeper, seg, used | bit)
-
-    walk(first, mask, 0)
-    return results
+                seg = mask & row[d]
+                if not seg:
+                    continue
+                if keep:
+                    results[child] = results.get(child, 0) | seg
+                if deeper:
+                    _step_masks(deeper, seg, used | bit, table, results, min_len, min_den)
 
 
 def _rank_key(node: TreeNode):
@@ -277,11 +276,15 @@ def predict_from_context(
     full = lane_mask * sum(1 << r * w for r in range(len(lanes)))
     matrix = PredictionMatrix(trigger_time=t, steps=steps)
     table = _event_table(events, spreads, t, p.history_window, steps, p.matching_interval)
+    min_len, min_den = p.min_subseq_len, max(p.frequency_threshold, 1)
     for tree in trees:
-        first = tree.root.branching if p.min_subseq_len > 1 else tree.root.by_channel
+        # no level-1 node, inhibitory or not, is a candidate when
+        # min_subseq_len >= 2, so the walk starts from the branching ones
+        first = tree.root.branching if min_len > 1 else tree.root.by_channel
         if first.keys().isdisjoint(table):
             continue
-        matches = _step_masks(tree, first, table, full)
+        matches: Dict[TreeNode, int] = {}
+        _step_masks(first, full, 0, table, matches, min_len, min_den)
         if not matches:
             continue
         ranked = []

@@ -175,18 +175,19 @@ def _parse_scenario(text: str, source: str) -> ScenarioScript:
             "noise", "intervals", parse=_parse_intervals, expected=_INTERVALS, required=True
         )
     if cp.has_section("jitter"):
-        script.jitter_onset_event = value("jitter", "onset_event")
+        script.jitter_onset_event = value("jitter", "onset_event", required=True)
         script.jitter_max = value("jitter", "max", datagen.JITTER_MAX)
     if cp.has_section("dropout"):
-        script.dropout_p = value("dropout", "p", parse=float, expected="a number")
-        script.dropout_onset_time = value("dropout", "onset_time")
+        script.dropout_p = value("dropout", "p", parse=float, expected="a number", required=True)
+        script.dropout_onset_time = value("dropout", "onset_time", required=True)
     if cp.has_section("scoring"):
         script.scoring_mode = value(
             "scoring", "mode", "structured", parse=_scoring_mode,
             expected=f"one of {', '.join(SCORED_LABELS)}",
         )
         script.scoring_pad = value("scoring", "pad", 0)
-    # every default lies in its range, so a value out of range is one the file set
+    # every default lies in its range, so a value out of range is one the file
+    # set; the onsets are None only without their section
     ordered, cycle = "LO-HI intervals with LO < HI", datagen.CYCLE_LENGTH
     for section, key, held, rule in (
         ("scenario", "num_channels", script.num_channels >= 1, ">= 1"),
@@ -196,8 +197,11 @@ def _parse_scenario(text: str, source: str) -> ScenarioScript:
         ("interference", "intervals", all(lo < hi for lo, hi in script.interference_intervals),
          ordered),
         ("noise", "intervals", all(lo < hi for lo, hi in script.noise_intervals), ordered),
+        ("jitter", "onset_event", (script.jitter_onset_event or 0) >= 0, ">= 0"),
         ("jitter", "max", script.jitter_max >= 0, ">= 0"),
         ("dropout", "p", 0.0 <= script.dropout_p <= 1.0, "in [0, 1]"),
+        ("dropout", "onset_time", (script.dropout_onset_time or 0) >= 0, ">= 0"),
+        ("scoring", "pad", script.scoring_pad >= 0, ">= 0"),
     ):
         if not held:
             raw = cp[section][key]

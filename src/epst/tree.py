@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .events import (
     Event,
@@ -60,12 +61,9 @@ class EpstParams:
             raise ValueError("min_subseq_len must be <= max_subseq_len")
 
 
-@dataclass
-class InhibitoryRecord:
-    """Explicit inhibitory pattern bookkeeping: the false negatives it
-    caused since creation (matches that coincided with a spike in g)."""
-
-    false_negative_count: int = 0
+# the children and by_channel of every leaf: one shared read-only map, so a
+# leaf allocates no dicts; attach gives a node its own on its first child
+_NO_CHILDREN: Mapping = MappingProxyType({})
 
 
 class TreeNode:
@@ -92,17 +90,22 @@ class TreeNode:
         self.depth = 0 if parent is None else parent.depth + 1
         self.numerator = 0
         self.denominator = 0
-        self.children: Dict[Item, TreeNode] = {}
+        self.children: Mapping[Item, TreeNode] = _NO_CHILDREN
         # children grouped by channel; matching only ever needs the
         # children on a channel present in the window
-        self.by_channel: Dict[int, List["TreeNode"]] = {}
-        self.inhibitory: Optional[InhibitoryRecord] = None
+        self.by_channel: Mapping[int, List["TreeNode"]] = _NO_CHILDREN
+        # None for an excitatory node; for an inhibitory pattern, the false
+        # negatives it caused since creation (matches that coincided with a
+        # spike in g)
+        self.inhibitory: Optional[int] = None
         # root only: the level-1 children that have children of their own,
         # per channel, in by_channel order; attach and detach keep it
         self.branching: Optional[Dict[int, List["TreeNode"]]] = {} if parent is None else None
         self._sort_key = None
 
     def attach(self, child: "TreeNode") -> None:
+        if self.children is _NO_CHILDREN:
+            self.children, self.by_channel = {}, {}
         self.children[child.item] = child
         self.by_channel.setdefault(child.item[1], []).append(child)
         if self.depth == 1 and len(self.children) == 1:
@@ -114,6 +117,8 @@ class TreeNode:
         group.remove(child)
         if not group:
             del self.by_channel[item[1]]
+        if not self.children:
+            self.children = self.by_channel = _NO_CHILDREN
         if self.depth == 0 and child.children:
             self._reindex(item[1])
         elif self.depth == 1 and not self.children:
@@ -263,20 +268,14 @@ class EpstTree:
         """Deterministic depth-first text snapshot, one node per line:
         (delay,channel,numerator,denominator,inhibitory) with indentation."""
         lines = [f"tree g={self.g} root_count={self.root_count} nodes={self.node_count}"]
-
-        def walk(node: TreeNode, indent: int):
-            for key in sorted(node.children):
-                child = node.children[key]
-                d, c = child.edge()
-                lines.append(
-                    "  " * indent
-                    + f"({d},{c},{child.numerator},{child.denominator},"
-                    + ("1" if child.is_inhibitory else "0")
-                    + ")"
-                )
-                walk(child, indent + 1)
-
-        walk(self.root, 1)
+        for node in self.iter_nodes():
+            d, c = node.edge()
+            lines.append(
+                "  " * node.depth
+                + f"({d},{c},{node.numerator},{node.denominator},"
+                + ("1" if node.is_inhibitory else "0")
+                + ")"
+            )
         return "\n".join(lines) + "\n"
 
 

@@ -291,6 +291,15 @@ def test_main_non_integer_tree_parameter_is_usage_error(tmp_path, tiny_cfg, caps
          "[noise] intervals", "must be LO-HI intervals with LO < HI, got '900-100'"),
         (TINY_SCENARIO + "\n[interference]\nintervals = 900-100\npattern_seed_offsets = 1\n",
          "[interference] intervals", "must be LO-HI intervals with LO < HI, got '900-100'"),
+        # a section without the key that switches it on would do nothing
+        (TINY_SCENARIO + "\n[jitter]\nmax = 4\n", "[jitter] onset_event", "missing"),
+        (TINY_SCENARIO + "\n[dropout]\np = 0.2\n", "[dropout] onset_time", "missing"),
+        (TINY_SCENARIO + "\n[dropout]\nonset_time = 100\n", "[dropout] p", "missing"),
+        (TINY_SCENARIO + "\n[jitter]\nonset_event = -1\n",
+         "[jitter] onset_event", "must be >= 0, got '-1'"),
+        (TINY_SCENARIO + "\n[dropout]\np = 0.2\nonset_time = -5\n",
+         "[dropout] onset_time", "must be >= 0, got '-5'"),
+        (TINY_SCENARIO + "pad = -3\n", "[scoring] pad", "must be >= 0, got '-3'"),
     ],
 )
 def test_main_bad_scenario_value_is_usage_error(tmp_path, capsys, text, where, problem):

@@ -1,6 +1,9 @@
 """Every module of the package and of the test suite references each name
 it imports. A module's `__all__` entries (the package's re-exports) and
-`from __future__` imports are exempt."""
+`from __future__` imports are exempt. No function of the package nested in
+another refers to its own name: such a function reaches itself through its
+closure cell, a reference cycle per call of the outer function that only
+the cyclic garbage collector frees."""
 
 import ast
 from pathlib import Path
@@ -8,7 +11,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "epst").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "epst").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def unused_imports(source: str):
@@ -45,3 +50,34 @@ def test_unused_import_detected():
         "def f(x: List) -> int:\n    return os.sep\n"
     )
     assert unused_imports(source) == [(3, "np")]
+
+
+def self_referring_closures(source: str):
+    """(line, name) of every function nested in another function that
+    refers to its own name."""
+    found = set()
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, FUNCTIONS):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, FUNCTIONS):
+                continue
+            if any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner)):
+                found.add((inner.lineno, inner.name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_self_referring_closures(path):
+    assert self_referring_closures(path.read_text(encoding="utf-8")) == []
+
+
+def test_self_referring_closure_detected():
+    source = (
+        "def top(n):\n    return top(n - 1) if n else 0\n"
+        "class C:\n    def method(self):\n"
+        "        def walk(node):\n            return [walk(c) for c in node]\n"
+        "        def once():\n            return 1\n"
+        "        return walk, once\n"
+    )
+    assert self_referring_closures(source) == [(5, "walk")]

@@ -486,7 +486,7 @@ def test_sampled_matches_per_repeat_reference(min_len, tol):
 
 def false_negative_counts(trees):
     return [
-        (node.sort_key(), node.inhibitory.false_negative_count)
+        (node.sort_key(), node.inhibitory)
         for tree in trees for node in tree.iter_nodes() if node.is_inhibitory
     ]
 

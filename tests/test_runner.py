@@ -1,4 +1,7 @@
-"""Online driver tests: trigger bookkeeping, variants, determinism."""
+"""Online driver tests: trigger bookkeeping, variants, determinism, and no
+cyclic garbage."""
+
+import gc
 
 from epst import runner
 from epst.acceptance import random_stream
@@ -8,6 +11,7 @@ from epst.datagen import (
     apply_dropout,
     gen_base,
 )
+from epst.evaluation import count_false_positives, score_epst
 from epst.events import Event, EventStream, window_of
 from epst.extensions import FALSE_POSITIVE_THRESHOLD, VARIANTS
 from epst.runner import SamplingConfig, run_epst, run_vmm
@@ -90,6 +94,51 @@ def test_run_vmm_counts_every_event():
     run = run_vmm(stream, "ppmc")
     assert len(run.events) == len(run.probabilities) == 80
     assert all(p is not None for p in run.probabilities[1:])
+
+
+def test_run_leaves_no_reference_cycles(monkeypatch):
+    """A run, its scoring and its tree dumps free everything they drop by
+    reference counting alone: with the collector off, a collection
+    afterwards finds no unreachable object. The results stay referenced,
+    since a live forest is cyclic (parent and children) but not garbage."""
+    stream = random_stream(0, 510, 2)
+    params = EpstParams(history_window=8, max_spike_interval=8, max_subseq_len=3)
+    pruned, destroyed = [], []
+    prune, maintain = runner.prune_entropy, runner.inhibitory_maintenance
+
+    def counting_prune(tree):
+        pruned.append(prune(tree))
+        return pruned[-1]
+
+    def counting_maintenance(tree, hits):
+        removed = maintain(tree, hits)
+        destroyed.extend(removed)
+        return removed
+
+    monkeypatch.setattr(runner, "prune_entropy", counting_prune)
+    monkeypatch.setattr(runner, "inhibitory_maintenance", counting_maintenance)
+    runs = [(variant, None) for variant in VARIANTS.values()]
+    # sample 2 events of contexts that often hold more: the lane path runs
+    runs.append((VARIANTS["epst_ip"], SamplingConfig(2, 2, seed=1)))
+    kept = []
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for variant, sampling in runs:
+            run = run_epst(stream, params, variant, sampling)
+            kept.append((
+                run,
+                score_epst(run, stream, "structured"),
+                count_false_positives(run, stream),
+                [tree.dump() for tree in run.trees],
+            ))
+    finally:
+        if enabled:
+            gc.enable()
+    assert gc.collect() == 0
+    # pruning detached nodes and maintenance destroyed a pattern
+    assert sum(pruned) > 0 and destroyed
 
 
 # ---------------------------------------------------------------------------
