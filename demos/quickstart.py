@@ -32,6 +32,6 @@ for n, p in enumerate(row):
         cand = matrix.chosen[(0, n)]
         print(
             f"  step +{n} (t={t + n}): p={p:.3f} "
-            f"from pattern {cand.subsequence.items} "
+            f"from pattern {cand.subsequence} "
             f"({cand.numerator}/{cand.denominator})"
         )

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .datagen import add_random_events, gen_base
-from .events import Event, EventStream, HistoryWindow
+from .events import Event, EventStream, HistoryWindow, Subsequence
 from .evaluation import (
     ErrorTrace,
     aggregate_runs,
@@ -68,10 +68,8 @@ Verdict = Tuple[bool, str]
 # count replay oracle (independent flat-dict re-derivation of the two
 # learning steps, used to cross-check the tree) and its reference matcher
 
-Items = Tuple[Tuple[int, int], ...]
 
-
-def _injective_match(items: Items, entries: Sequence[Tuple[int, int]], tol: int) -> bool:
+def _injective_match(items: Subsequence, entries: Sequence[Tuple[int, int]], tol: int) -> bool:
     """The tolerance-based matching rule, stated directly: True iff every
     (delay, channel) item can be given its own window entry on the same
     channel with a delay within +-tol. The reference that the tests hold
@@ -88,11 +86,11 @@ def _injective_match(items: Items, entries: Sequence[Tuple[int, int]], tol: int)
 
 def replay_counts(
     stream: EventStream, params: EpstParams, g: int
-) -> Dict[Items, Tuple[int, int]]:
+) -> Dict[Subsequence, Tuple[int, int]]:
     """Re-derive every stored subsequence's (numerator, denominator) for the
     tree of channel g with a flat dictionary, event by event."""
     p = params
-    counts: Dict[Items, List[int]] = {}
+    counts: Dict[Subsequence, List[int]] = {}
     groups: Dict[int, List[Event]] = {}
     for e in stream.visible():
         groups.setdefault(e.time, []).append(e)
@@ -118,7 +116,7 @@ def replay_counts(
         for e in sorted(groups[t], key=lambda e: e.channel):
             if e.channel != g:
                 continue
-            matched: List[Items] = []
+            matched: List[Subsequence] = []
             for items, nd in counts.items():
                 if _injective_match(items, entries, p.matching_interval):
                     nd[0] += 1
@@ -126,7 +124,7 @@ def replay_counts(
             # growth worklist: fresh single-item subsequences plus everything
             # that matched this window; only those may extend, and only past
             # the extension threshold
-            grow: List[Items] = []
+            grow: List[Subsequence] = []
             if p.max_subseq_len >= 1:
                 for entry in entries:
                     if entry[0] <= p.max_spike_interval and (entry,) not in counts:
@@ -151,9 +149,9 @@ def replay_counts(
     return {items: (nd[0], nd[1]) for items, nd in counts.items()}
 
 
-def tree_counts(tree: EpstTree) -> Dict[Items, Tuple[int, int]]:
+def tree_counts(tree: EpstTree) -> Dict[Subsequence, Tuple[int, int]]:
     return {
-        node.subsequence().items: (node.numerator, node.denominator)
+        node.subsequence(): (node.numerator, node.denominator)
         for node in tree.iter_nodes()
     }
 
@@ -347,8 +345,10 @@ def check_et0_false_positives() -> Verdict:
     interference ends and pruning alone is strictly slower."""
     algos = ("epst", "epst_i", "epst_p", "epst_ip")
     fps: Dict[str, List[List[Tuple[int, int]]]] = {a: [] for a in algos}
+    # binned as `epst-bench run` bins it
+    bin_width = load_scenario("structured_et0").bin_width
     for algo, stream, _, run in _runs("structured_et0", ET0_SEEDS, algos):
-        fps[algo].append(count_false_positives(run, stream))
+        fps[algo].append(count_false_positives(run, stream, bin_width=bin_width))
     counts = {a: sum_counts(c) for a, c in fps.items()}
 
     pre = sum(c for b, c in counts["epst"] if 2000 <= b < 5000)

@@ -119,26 +119,13 @@ class HistoryWindow:
                 raise ValueError(f"delay {d} outside (0, {self.window_length}]")
 
 
-@dataclass(frozen=True)
-class Subsequence:
-    """Ordered subset of window entries, non-decreasing in delay."""
+# a subsequence is a non-empty tuple of items in canonical order
+Subsequence = Tuple[Item, ...]
 
-    items: Tuple[Item, ...]
 
-    def __post_init__(self):
-        items = tuple(self.items)
-        object.__setattr__(self, "items", items)
-        if not items:
-            raise ValueError("subsequence must hold at least one item")
-        if items != canonical_items(items):
-            raise ValueError("items must be in canonical (delay, channel) order")
-
-    def __len__(self):
-        return len(self.items)
-
-    def sort_key(self):
-        """Canonical order: lexicographic on (delay list, channel list)."""
-        return tuple(d for d, _ in self.items), tuple(c for _, c in self.items)
+def sort_key(items: Subsequence) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Canonical order: lexicographic on (delay list, channel list)."""
+    return tuple(d for d, _ in items), tuple(c for _, c in items)
 
 
 def window_of(stream: EventStream, t: int, m: int) -> HistoryWindow:
@@ -165,8 +152,8 @@ def enumerate_subsequences(
     for k in range(min_len, min(max_len, len(entries)) + 1):
         for combo in combinations(entries, k):
             if all(b[0] - a[0] <= max_gap for a, b in zip(combo, combo[1:])):
-                out.append(Subsequence(combo))
-    out.sort(key=Subsequence.sort_key)
+                out.append(combo)
+    out.sort(key=sort_key)
     return out
 
 

@@ -54,10 +54,10 @@ def record_false_positive(tree: EpstTree, window: HistoryWindow) -> int:
     for sub in enumerate_subsequences(
         window, p.min_subseq_len, p.max_subseq_len, p.max_spike_interval
     ):
-        if sub.items[0][0] > p.max_spike_interval:
+        if sub[0][0] > p.max_spike_interval:
             continue
         node = tree.root
-        for item in sub.items:
+        for item in sub:
             child = node.children.get(item)
             if child is None:
                 child = tree._add_child(node, item)

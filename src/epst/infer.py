@@ -37,7 +37,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .events import EventStream, Subsequence
+from .events import EventStream, Subsequence, sort_key
 from .tree import EpstTree, TreeNode
 
 
@@ -76,7 +76,7 @@ class Candidate:
             self.entropy,
             -len(self.subsequence),
             -self.denominator,
-            self.subsequence.sort_key(),
+            sort_key(self.subsequence),
         )
 
 

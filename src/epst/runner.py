@@ -45,12 +45,11 @@ class EpstRunResult:
     def latest_estimate(self, channel: int, step_time: int, before_time: float) -> float:
         """Estimate for the cell (channel, step_time) from the most recent
         trigger strictly before `before_time` that covers the step."""
-        idx = bisect.bisect_right(self.trigger_times, step_time) - 1
-        while idx >= 0 and self.trigger_times[idx] >= before_time:
-            idx -= 1
+        times = self.trigger_times
+        idx = min(bisect.bisect_right(times, step_time), bisect.bisect_left(times, before_time)) - 1
         if idx < 0:
             return 0.0
-        n = step_time - self.trigger_times[idx]
+        n = step_time - times[idx]
         if n > self.matrices[idx].steps:
             return 0.0
         return self.matrices[idx].probability(channel, n)

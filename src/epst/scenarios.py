@@ -8,7 +8,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields
 from importlib import resources
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import datagen
 from .evaluation import SCORED_LABELS, ErrorTrace, score_epst, score_vmm
@@ -98,6 +98,9 @@ class ScenarioScript:
 
 
 _INTERVALS = "comma-separated LO-HI intervals"
+# the sections a scenario file may hold; a section's keys are the ones
+# _parse_scenario reads from it
+_SECTIONS = ("scenario", "interference", "noise", "jitter", "dropout", "scoring", "epst")
 
 
 def _parse_ints(raw: str) -> List[int]:
@@ -131,10 +134,14 @@ def _parse_scenario(text: str, source: str) -> ScenarioScript:
     `source`, the section and, where there is one, the key."""
     cp = configparser.ConfigParser()
     cp.read_string(text, source)
+    # the keys value() was asked for, per section: every section present
+    # asks for all of its keys, so any other key is unknown
+    known: Dict[str, List[str]] = {}
 
     def value(section, key, fallback=None, parse=int, expected="an integer", required=False):
         """The entry parsed by `parse`; `fallback` when it is absent, unless
         it is required."""
+        known.setdefault(section, []).append(key)
         raw = cp[section].get(key)
         if raw is None:
             if required:
@@ -149,6 +156,11 @@ def _parse_scenario(text: str, source: str) -> ScenarioScript:
 
     if not cp.has_section("scenario"):
         raise ValueError(f"{source}: [scenario]: missing section")
+    for section in cp.sections():
+        if section not in _SECTIONS:
+            raise ValueError(
+                f"{source}: [{section}]: unknown section; known: {', '.join(_SECTIONS)}"
+            )
     script = ScenarioScript(
         scenario_id=value("scenario", "id", parse=str, required=True),
         num_channels=value("scenario", "num_channels", datagen.NUM_CHANNELS),
@@ -186,6 +198,16 @@ def _parse_scenario(text: str, source: str) -> ScenarioScript:
             expected=f"one of {', '.join(SCORED_LABELS)}",
         )
         script.scoring_pad = value("scoring", "pad", 0)
+    if cp.has_section("epst"):
+        overrides = {f.name: value("epst", f.name) for f in fields(EpstParams)}
+        script.epst_overrides = {k: v for k, v in overrides.items() if v is not None}
+    for section in cp.sections():
+        for key in cp[section]:
+            if key not in known[section]:
+                raise ValueError(
+                    f"{source}: [{section}] {key}: unknown key; "
+                    f"known: {', '.join(known[section])}"
+                )
     # every default lies in its range, so a value out of range is one the file
     # set; the onsets are None only without their section
     ordered, cycle = "LO-HI intervals with LO < HI", datagen.CYCLE_LENGTH
@@ -206,20 +228,12 @@ def _parse_scenario(text: str, source: str) -> ScenarioScript:
         if not held:
             raw = cp[section][key]
             raise ValueError(f"{source}: [{section}] {key}: must be {rule}, got {raw!r}")
-    if cp.has_section("epst"):
-        known = [f.name for f in fields(EpstParams)]
-        for key in cp["epst"]:
-            if key not in known:
-                raise ValueError(
-                    f"{source}: [epst] {key}: unknown tree parameter; known: {', '.join(known)}"
-                )
-        script.epst_overrides = {k: value("epst", k) for k in cp["epst"]}
-        try:
-            EpstParams(**script.epst_overrides)
-        except ValueError as exc:
-            # every EpstParams message starts with the parameter's name
-            key, _, reason = str(exc).partition(" ")
-            raise ValueError(f"{source}: [epst] {key}: {reason}") from None
+    try:
+        EpstParams(**script.epst_overrides)
+    except ValueError as exc:
+        # every EpstParams message starts with the parameter's name
+        key, _, reason = str(exc).partition(" ")
+        raise ValueError(f"{source}: [epst] {key}: {reason}") from None
     return script
 
 

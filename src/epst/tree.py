@@ -14,7 +14,7 @@ stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 from operator import attrgetter
 from types import MappingProxyType
@@ -26,7 +26,7 @@ from .events import (
     HistoryWindow,
     Item,
     Subsequence,
-    canonical_items,
+    sort_key,
     window_of,
 )
 
@@ -43,18 +43,9 @@ class EpstParams:
     matching_interval: int = 0        # tol
 
     def __post_init__(self):
-        for name in (
-            "history_window",
-            "prediction_window",
-            "min_subseq_len",
-            "max_subseq_len",
-            "max_spike_interval",
-            "branch_extension_threshold",
-            "frequency_threshold",
-            "matching_interval",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0")
         if self.min_subseq_len < 1:
             raise ValueError("min_subseq_len must be >= 1")
         if self.min_subseq_len > self.max_subseq_len:
@@ -143,19 +134,20 @@ class TreeNode:
         return (self.cum_delay - parent_cum, self.item[1])
 
     def subsequence(self) -> Subsequence:
-        """The path from the root as a Subsequence."""
+        """The path from the root. Canonical by construction: a child's
+        item is always greater than its parent's."""
         items = []
         node = self
         while node.item is not None:
             items.append(node.item)
             node = node.parent
-        return Subsequence(canonical_items(items))
+        return tuple(reversed(items))
 
     def sort_key(self):
-        """`subsequence().sort_key()`: built on first use and kept on the
+        """`sort_key(subsequence())`: built on first use and kept on the
         node, since selection ranks by it on every prediction."""
         if self._sort_key is None:
-            self._sort_key = self.subsequence().sort_key()
+            self._sort_key = sort_key(self.subsequence())
         return self._sort_key
 
 

@@ -261,7 +261,7 @@ def test_main_non_integer_tree_parameter_is_usage_error(tmp_path, tiny_cfg, caps
         (TINY_SCENARIO + "\n[epst]\nhistory_window = abc\n",
          "[epst] history_window", "expected an integer, got 'abc'"),
         (TINY_SCENARIO + "\n[epst]\nhistory_windw = 16\n",
-         "[epst] history_windw", "unknown tree parameter; known: " + ", ".join(
+         "[epst] history_windw", "unknown key; known: " + ", ".join(
              f.name for f in dataclasses.fields(EpstParams))),
         (TINY_SCENARIO + "\n[epst]\nmin_subseq_len = 9\n",
          "[epst] min_subseq_len", "must be <= max_subseq_len"),
@@ -300,6 +300,16 @@ def test_main_non_integer_tree_parameter_is_usage_error(tmp_path, tiny_cfg, caps
         (TINY_SCENARIO + "\n[dropout]\np = 0.2\nonset_time = -5\n",
          "[dropout] onset_time", "must be >= 0, got '-5'"),
         (TINY_SCENARIO + "pad = -3\n", "[scoring] pad", "must be >= 0, got '-3'"),
+        # a misspelt key or section would silently leave its value at the default
+        (TINY_SCENARIO.replace("total_events", "total_event"), "[scenario] total_event",
+         "unknown key; known: id, num_channels, total_events, bin_width"),
+        (TINY_SCENARIO.replace("bin_width", "bin_widht"), "[scenario] bin_widht",
+         "unknown key; known: id, num_channels, total_events, bin_width"),
+        (TINY_SCENARIO + "pda = 3\n", "[scoring] pda", "unknown key; known: mode, pad"),
+        (TINY_SCENARIO + "\n[jitter]\nonset_event = 50\nmaximum = 2\n", "[jitter] maximum",
+         "unknown key; known: onset_event, max"),
+        (TINY_SCENARIO + "\n[bogus]\nx = 1\n", "[bogus]", "unknown section; known: "
+         "scenario, interference, noise, jitter, dropout, scoring, epst"),
     ],
 )
 def test_main_bad_scenario_value_is_usage_error(tmp_path, capsys, text, where, problem):
@@ -317,7 +327,7 @@ def test_main_bad_scenario_value_is_usage_error(tmp_path, capsys, text, where, p
 
 @pytest.mark.parametrize(
     "entry, where",
-    [("history_windw = 16", "[epst] history_windw: unknown tree parameter"),
+    [("history_windw = 16", "[epst] history_windw: unknown key"),
      ("prediction_window = -1", "[epst] prediction_window: must be >= 0")],
 )
 def test_load_scenario_file_checks_tree_parameters(tmp_path, entry, where):

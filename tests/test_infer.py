@@ -65,12 +65,10 @@ def test_entropy_bounds(num, den):
 
 
 def cand(sub_items, num, den, inhibitory=False):
-    from epst.events import Subsequence
-
     if inhibitory:
-        return Candidate(Subsequence(sub_items), 0, 1, 0.0, 0.0, True)
+        return Candidate(sub_items, 0, 1, 0.0, 0.0, True)
     return Candidate(
-        Subsequence(sub_items),
+        sub_items,
         num,
         den,
         estimate_probability(num, den),
@@ -214,7 +212,7 @@ def naive_matrix(trees, events, t):
                         continue
                     if node.denominator < max(p.frequency_threshold, 1):
                         continue
-                if not _injective_match(node.subsequence().items, entries, p.matching_interval):
+                if not _injective_match(node.subsequence(), entries, p.matching_interval):
                     continue
                 if node.is_inhibitory:
                     masks[node] = masks.get(node, 0) | 1 << n
@@ -393,7 +391,7 @@ def test_sampling_deterministic_and_bounded():
     events = context_events(stream, t, p.history_window)
     for n, g, _ in a.cells:
         entries = window_entries(events, t + n, p.history_window)
-        items = a.chosen[(g, n)].subsequence.items
+        items = a.chosen[(g, n)].subsequence
         assert _injective_match(items, entries, p.matching_interval)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epst.acceptance import random_stream, replay_counts, tree_counts
-from epst.events import Event, EventStream, canonical_items, window_of
+from epst.events import Event, EventStream, canonical_items, sort_key, window_of
 from epst.extensions import (
     FALSE_NEGATIVE_LIMIT,
     inhibitory_maintenance,
@@ -202,8 +202,9 @@ def test_sort_key_kept_through_maintenance():
         key = node.sort_key()
         assert key is node.sort_key()
         sub = node.subsequence()
-        assert sub.items == canonical_items(chain) == canonical_items(expected[node])
-        assert key == sub.sort_key()
+        # canonical by construction: the path is never re-sorted
+        assert sub == tuple(expected[node]) == canonical_items(chain)
+        assert key == sort_key(sub)
 
 
 def test_branching_index_follows_attach_and_detach():
