@@ -151,7 +151,7 @@ def replay_counts(
 
 def tree_counts(tree: EpstTree) -> Dict[Subsequence, Tuple[int, int]]:
     return {
-        node.subsequence(): (node.numerator, node.denominator)
+        node.path: (node.numerator, node.denominator)
         for node in tree.iter_nodes()
     }
 

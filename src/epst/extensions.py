@@ -71,17 +71,15 @@ def record_false_positive(tree: EpstTree, window: HistoryWindow) -> int:
 
 def _drop_inhibitory(tree: EpstTree, node: TreeNode) -> None:
     """Clear a node's inhibitory mark; remove the node if nothing below it
-    survives, trimming bare structural ancestors."""
+    survives, trimming bare ancestors from the bottom of its chain."""
+    chain = tree._chain(node)
     node.inhibitory = None
-    while (
-        node.item is not None
-        and not node.children
-        and not _is_excitatory(node)
-        and not node.is_inhibitory
-    ):
-        parent = node.parent
-        tree.remove_node(node)
-        node = parent
+    while len(chain) > 1:
+        node = chain[-1]
+        if node.children or _is_excitatory(node) or node.is_inhibitory:
+            break
+        chain.pop()
+        tree._detach(chain[-1], node.item)
 
 
 def inhibitory_maintenance(
@@ -121,8 +119,7 @@ def _prune_below(tree: EpstTree, node: TreeNode) -> bool:
         if _prune_below(tree, node.children[key]):
             survivors = True
         else:
-            node.detach(key)
-            tree.node_count -= 1
+            tree._detach(node, key)
     if node.item is None or survivors or node.is_inhibitory:
         return True
     if node.denominator < 1:

@@ -83,7 +83,7 @@ class Candidate:
 def candidate_from_node(node: TreeNode) -> Candidate:
     if node.is_inhibitory:
         return Candidate(
-            subsequence=node.subsequence(),
+            subsequence=node.path,
             numerator=0,
             denominator=1,
             probability=0.0,
@@ -91,7 +91,7 @@ def candidate_from_node(node: TreeNode) -> Candidate:
             inhibitory=True,
         )
     return Candidate(
-        subsequence=node.subsequence(),
+        subsequence=node.path,
         numerator=node.numerator,
         denominator=node.denominator,
         probability=estimate_probability(node.numerator, node.denominator),
@@ -280,7 +280,7 @@ def predict_from_context(
     for tree in trees:
         # no level-1 node, inhibitory or not, is a candidate when
         # min_subseq_len >= 2, so the walk starts from the branching ones
-        first = tree.root.branching if min_len > 1 else tree.root.by_channel
+        first = tree.branching if min_len > 1 else tree.root.by_channel
         if first.keys().isdisjoint(table):
             continue
         matches: Dict[TreeNode, int] = {}

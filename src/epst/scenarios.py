@@ -132,7 +132,9 @@ def load_scenario_file(path) -> ScenarioScript:
 def _parse_scenario(text: str, source: str) -> ScenarioScript:
     """A scenario config's text; every error is a ValueError that names
     `source`, the section and, where there is one, the key."""
-    cp = configparser.ConfigParser()
+    # no section can be named "", so [DEFAULT] is a section like any other
+    # (and unknown), not keys that configparser copies into every section
+    cp = configparser.ConfigParser(default_section="")
     cp.read_string(text, source)
     # the keys value() was asked for, per section: every section present
     # asks for all of its keys, so any other key is unknown

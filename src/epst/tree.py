@@ -2,8 +2,9 @@
 
 The virtual root stands for the predicted spike (delay 0). Level-1
 children hold the most recent history events; deeper nodes extend
-further into the past. A node's path from the root spells a stored
-subsequence as a cumulative-delay item list.
+further into the past. Each node holds its path from the root, the
+stored subsequence as a canonical tuple of cumulative-delay items, and no
+pointer back up. `EpstTree` makes every structural change.
 
 Two spike-triggered learning steps maintain the per-node counts:
 step 1 (any spike) accumulates denominators n(s); step 2 (spike in the
@@ -18,7 +19,7 @@ from dataclasses import dataclass, fields
 from itertools import groupby
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .events import (
     Event,
@@ -53,12 +54,17 @@ class EpstParams:
 
 
 # the children and by_channel of every leaf: one shared read-only map, so a
-# leaf allocates no dicts; attach gives a node its own on its first child
+# leaf allocates no dicts; _add_child gives a node its own on its first child
 _NO_CHILDREN: Mapping = MappingProxyType({})
 
 
 class TreeNode:
+    """One stored subsequence: a node holds its path from the root and no
+    pointer to its parent, so a dropped forest is freed by reference
+    counting alone. `EpstTree` makes every structural change."""
+
     __slots__ = (
+        "path",
         "item",
         "cum_delay",
         "depth",
@@ -66,19 +72,17 @@ class TreeNode:
         "denominator",
         "children",
         "by_channel",
-        "parent",
         "inhibitory",
-        "branching",
         "_sort_key",
     )
 
-    def __init__(self, item: Optional[Item], parent: Optional["TreeNode"]):
-        # item and parent are set here only, so the path from the root, and
-        # the key kept by sort_key(), never change
-        self.item = item                      # (cumulative delay, channel); None at root
-        self.parent = parent
-        self.cum_delay = 0 if item is None else item[0]
-        self.depth = 0 if parent is None else parent.depth + 1
+    def __init__(self, path: Subsequence):
+        # set here only, so the key kept by sort_key() never changes; canonical
+        # by construction, since a child's item is greater than its parent's
+        self.path = path
+        self.item = path[-1] if path else None   # (cumulative delay, channel); None at root
+        self.cum_delay = path[-1][0] if path else 0
+        self.depth = len(path)
         self.numerator = 0
         self.denominator = 0
         self.children: Mapping[Item, TreeNode] = _NO_CHILDREN
@@ -89,65 +93,17 @@ class TreeNode:
         # negatives it caused since creation (matches that coincided with a
         # spike in g)
         self.inhibitory: Optional[int] = None
-        # root only: the level-1 children that have children of their own,
-        # per channel, in by_channel order; attach and detach keep it
-        self.branching: Optional[Dict[int, List["TreeNode"]]] = {} if parent is None else None
         self._sort_key = None
-
-    def attach(self, child: "TreeNode") -> None:
-        if self.children is _NO_CHILDREN:
-            self.children, self.by_channel = {}, {}
-        self.children[child.item] = child
-        self.by_channel.setdefault(child.item[1], []).append(child)
-        if self.depth == 1 and len(self.children) == 1:
-            self.parent._reindex(self.item[1])
-
-    def detach(self, item: Item) -> "TreeNode":
-        child = self.children.pop(item)
-        group = self.by_channel[item[1]]
-        group.remove(child)
-        if not group:
-            del self.by_channel[item[1]]
-        if not self.children:
-            self.children = self.by_channel = _NO_CHILDREN
-        if self.depth == 0 and child.children:
-            self._reindex(item[1])
-        elif self.depth == 1 and not self.children:
-            self.parent._reindex(self.item[1])
-        return child
-
-    def _reindex(self, channel: int) -> None:
-        """Rebuild the root's branching list for one channel."""
-        group = [n for n in self.by_channel.get(channel, ()) if n.children]
-        if group:
-            self.branching[channel] = group
-        else:
-            self.branching.pop(channel, None)
 
     @property
     def is_inhibitory(self) -> bool:
         return self.inhibitory is not None
 
-    def edge(self) -> Tuple[int, int]:
-        """(delay to parent event, channel)."""
-        parent_cum = self.parent.cum_delay if self.parent is not None else 0
-        return (self.cum_delay - parent_cum, self.item[1])
-
-    def subsequence(self) -> Subsequence:
-        """The path from the root. Canonical by construction: a child's
-        item is always greater than its parent's."""
-        items = []
-        node = self
-        while node.item is not None:
-            items.append(node.item)
-            node = node.parent
-        return tuple(reversed(items))
-
     def sort_key(self):
-        """`sort_key(subsequence())`: built on first use and kept on the
-        node, since selection ranks by it on every prediction."""
+        """`sort_key(path)`: built on first use and kept on the node, since
+        selection ranks by it on every prediction."""
         if self._sort_key is None:
-            self._sort_key = sort_key(self.subsequence())
+            self._sort_key = sort_key(self.path)
         return self._sort_key
 
 
@@ -159,33 +115,72 @@ class EpstTree:
             raise ValueError("preferred channel must be >= 0")
         self.g = g
         self.params = params
-        self.root = TreeNode(None, None)
+        self.root = TreeNode(())
         self.root_count = 0          # n(g): spikes seen in the preferred channel
         self.node_count = 0
+        # the level-1 nodes that have children of their own, per channel, in
+        # by_channel order; _add_child and _detach keep it
+        self.branching: Dict[int, List[TreeNode]] = {}
 
-    # -- structure helpers -------------------------------------------------
+    # -- structure ---------------------------------------------------------
 
     def _add_child(self, parent: TreeNode, item: Item) -> TreeNode:
-        node = TreeNode(item, parent)
-        parent.attach(node)
+        node = TreeNode(parent.path + (item,))
+        if parent.children is _NO_CHILDREN:
+            parent.children, parent.by_channel = {}, {}
+        parent.children[item] = node
+        parent.by_channel.setdefault(item[1], []).append(node)
+        if parent.depth == 1 and len(parent.children) == 1:
+            self._index_branching(parent.item[1])
         self.node_count += 1
         return node
 
+    def _detach(self, parent: TreeNode, item: Item) -> None:
+        """Remove the child of `parent` at `item`, with its subtree."""
+        child = parent.children.pop(item)
+        group = parent.by_channel[item[1]]
+        group.remove(child)
+        if not group:
+            del parent.by_channel[item[1]]
+        if not parent.children:
+            parent.children = parent.by_channel = _NO_CHILDREN
+        if parent.depth == 0 and child.children:
+            self._index_branching(item[1])
+        elif parent.depth == 1 and not parent.children:
+            self._index_branching(parent.item[1])
+        self.node_count -= 1 + sum(1 for _ in _descendants(child))
+
+    def _index_branching(self, channel: int) -> None:
+        """Rebuild the branching list for one channel."""
+        group = [n for n in self.root.by_channel.get(channel, ()) if n.children]
+        if group:
+            self.branching[channel] = group
+        else:
+            self.branching.pop(channel, None)
+
+    def _chain(self, node: TreeNode) -> List[TreeNode]:
+        """The nodes from the root down to `node`, found by walking its
+        path. Raises ValueError unless `node` is in this tree."""
+        chain = [self.root]
+        for item in node.path:
+            child = chain[-1].children.get(item)
+            if child is None:
+                break
+            chain.append(child)
+        if chain[-1] is not node:
+            raise ValueError("node is not in this tree")
+        return chain
+
     def remove_node(self, node: TreeNode) -> None:
-        """Remove a whole subtree."""
+        """Remove a whole subtree; ValueError for the root or a node not in
+        this tree."""
         if node.item is None:
             raise ValueError("cannot remove the virtual root")
-        removed = _count_subtree(node)
-        node.parent.detach(node.item)
-        self.node_count -= removed
+        self._detach(self._chain(node)[-2], node.item)
 
     def iter_nodes(self):
         """All non-root nodes, depth-first, children in canonical item order."""
-        stack = [self.root.children[k] for k in sorted(self.root.children, reverse=True)]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children[k] for k in sorted(node.children, reverse=True))
+        return _descendants(self.root)
 
     # -- learning ----------------------------------------------------------
 
@@ -261,10 +256,10 @@ class EpstTree:
         (delay,channel,numerator,denominator,inhibitory) with indentation."""
         lines = [f"tree g={self.g} root_count={self.root_count} nodes={self.node_count}"]
         for node in self.iter_nodes():
-            d, c = node.edge()
+            d = node.cum_delay - (node.path[-2][0] if node.depth > 1 else 0)
             lines.append(
                 "  " * node.depth
-                + f"({d},{c},{node.numerator},{node.denominator},"
+                + f"({d},{node.item[1]},{node.numerator},{node.denominator},"
                 + ("1" if node.is_inhibitory else "0")
                 + ")"
             )
@@ -295,11 +290,13 @@ def learn_stream(stream: EventStream, params: EpstParams) -> List[EpstTree]:
     return trees
 
 
-def _count_subtree(node: TreeNode) -> int:
-    total = 1
-    for child in node.children.values():
-        total += _count_subtree(child)
-    return total
+def _descendants(node: TreeNode):
+    """The nodes below `node`, depth-first, children in canonical item order."""
+    stack = [node.children[k] for k in sorted(node.children, reverse=True)]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children[k] for k in sorted(node.children, reverse=True))
 
 
 def _match_below(node, base_delay, entries, tol, used, matched):

@@ -310,6 +310,12 @@ def test_main_non_integer_tree_parameter_is_usage_error(tmp_path, tiny_cfg, caps
          "unknown key; known: onset_event, max"),
         (TINY_SCENARIO + "\n[bogus]\nx = 1\n", "[bogus]", "unknown section; known: "
          "scenario, interference, noise, jitter, dropout, scoring, epst"),
+        # configparser would copy [DEFAULT] keys into every section
+        ("[DEFAULT]\nbin_width = 100\n\n[scenario]\nid = tiny\ntotal_events = 120\n",
+         "[DEFAULT]", "unknown section; known: "
+         "scenario, interference, noise, jitter, dropout, scoring, epst"),
+        ("[DEFAULT]\nbin_width = 100\n\n" + TINY_SCENARIO, "[DEFAULT]", "unknown section; "
+         "known: scenario, interference, noise, jitter, dropout, scoring, epst"),
     ],
 )
 def test_main_bad_scenario_value_is_usage_error(tmp_path, capsys, text, where, problem):

@@ -124,14 +124,14 @@ def test_prune_entropy_postconditions(seed):
     p = EpstParams(history_window=16, max_spike_interval=16)
     stream = random_stream(seed, 120, 4)
     tree = learn_stream(stream, p)[0]
-    before = {n.subsequence(): (n.numerator, n.denominator) for n in tree.iter_nodes()}
+    before = {n.path: (n.numerator, n.denominator) for n in tree.iter_nodes()}
     removed = prune_entropy(tree)
     after = list(tree.iter_nodes())
     assert removed == len(before) - len(after)
     assert tree.node_count == len(after)
     for node in after:
         # surviving counts untouched
-        assert before[node.subsequence()] == (node.numerator, node.denominator)
+        assert before[node.path] == (node.numerator, node.denominator)
         # a surviving leaf must itself be deterministic
         if not node.children and node.denominator >= 1:
             assert entropy(node.numerator, node.denominator) == 0.0

@@ -212,7 +212,7 @@ def naive_matrix(trees, events, t):
                         continue
                     if node.denominator < max(p.frequency_threshold, 1):
                         continue
-                if not _injective_match(node.subsequence(), entries, p.matching_interval):
+                if not _injective_match(node.path, entries, p.matching_interval):
                     continue
                 if node.is_inhibitory:
                     masks[node] = masks.get(node, 0) | 1 << n

@@ -97,10 +97,10 @@ def test_run_vmm_counts_every_event():
 
 
 def test_run_leaves_no_reference_cycles(monkeypatch):
-    """A run, its scoring and its tree dumps free everything they drop by
+    """A run, its scoring and its tree dumps, once dropped, are freed by
     reference counting alone: with the collector off, a collection
-    afterwards finds no unreachable object. The results stay referenced,
-    since a live forest is cyclic (parent and children) but not garbage."""
+    afterwards finds no unreachable object. A forest holds no cycle, since
+    no node points back to its parent."""
     stream = random_stream(0, 510, 2)
     params = EpstParams(history_window=8, max_spike_interval=8, max_subseq_len=3)
     pruned, destroyed = [], []
@@ -120,19 +120,17 @@ def test_run_leaves_no_reference_cycles(monkeypatch):
     runs = [(variant, None) for variant in VARIANTS.values()]
     # sample 2 events of contexts that often hold more: the lane path runs
     runs.append((VARIANTS["epst_ip"], SamplingConfig(2, 2, seed=1)))
-    kept = []
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
         for variant, sampling in runs:
             run = run_epst(stream, params, variant, sampling)
-            kept.append((
-                run,
-                score_epst(run, stream, "structured"),
-                count_false_positives(run, stream),
-                [tree.dump() for tree in run.trees],
-            ))
+            score_epst(run, stream, "structured")
+            count_false_positives(run, stream)
+            for tree in run.trees:
+                tree.dump()
+            del run, tree
     finally:
         if enabled:
             gc.enable()

@@ -162,7 +162,7 @@ def assert_branching_index(tree):
     expected = {
         c: [n for n in group if n.children] for c, group in root.by_channel.items()
     }
-    assert root.branching == {c: group for c, group in expected.items() if group}
+    assert tree.branching == {c: group for c, group in expected.items() if group}
 
 
 def test_sort_key_kept_through_maintenance():
@@ -170,7 +170,7 @@ def test_sort_key_kept_through_maintenance():
     stream = random_stream(14, 80, 4)
     tree = learn_stream(stream, p)[0]
     assert_branching_index(tree)
-    assert tree.root.branching
+    assert tree.branching
     for node in tree.iter_nodes():
         node.sort_key()
     for e in stream.events[30:70:5]:
@@ -194,37 +194,54 @@ def test_sort_key_kept_through_maintenance():
     expected = dict(paths(tree.root, []))
     assert set(expected) == set(tree.iter_nodes())
     for node in tree.iter_nodes():
-        chain, up = [], node
-        while up.item is not None:
-            chain.append(up.item)
-            up = up.parent
-        assert up is tree.root
+        # walking the path down from the root reaches the node itself
+        down = tree.root
+        for item in node.path:
+            down = down.children[item]
+        assert down is node
         key = node.sort_key()
         assert key is node.sort_key()
-        sub = node.subsequence()
         # canonical by construction: the path is never re-sorted
-        assert sub == tuple(expected[node]) == canonical_items(chain)
-        assert key == sort_key(sub)
+        assert node.path == tuple(expected[node]) == canonical_items(node.path)
+        assert key == sort_key(node.path)
 
 
-def test_branching_index_follows_attach_and_detach():
+def test_branching_index_follows_add_child_and_detach():
     tree = EpstTree(0, EpstParams())
     root = tree.root
     a = tree._add_child(root, (3, 1))
     tree._add_child(root, (4, 1))
     b = tree._add_child(root, (5, 1))
-    assert root.branching == {}
+    assert tree.branching == {}
     tree._add_child(b, (7, 2))
-    assert root.branching == {1: [b]}
+    assert tree.branching == {1: [b]}
     # a gains a child after b did but keeps its by_channel place
     a_child = tree._add_child(a, (6, 2))
     tree._add_child(a_child, (8, 0))
-    assert root.branching == {1: [a, b]}
+    assert tree.branching == {1: [a, b]}
     tree.remove_node(a_child)
-    assert root.branching == {1: [b]}
+    assert tree.branching == {1: [b]}
     tree.remove_node(b)
-    assert root.branching == {}
+    assert tree.branching == {}
     assert_branching_index(tree)
+
+
+def test_remove_node_refuses_a_node_not_in_the_tree():
+    p = EpstParams(branch_extension_threshold=0)
+    tree, other = learn_stream(one_shot_stream(), p)[0], learn_stream(one_shot_stream(), p)[0]
+    foreign = other.root.children[(7, 4)]
+    level1 = tree.root.children[(7, 4)]
+    below = next(iter(level1.children.values()))
+    tree.remove_node(level1)
+    count, dump = tree.node_count, tree.dump()
+    # a node of another tree, a removed node, and a node whose ancestor was removed
+    for node in (foreign, level1, below):
+        with pytest.raises(ValueError, match="not in this tree"):
+            tree.remove_node(node)
+        assert (tree.node_count, tree.dump()) == (count, dump)
+    assert other.node_count == sum(1 for _ in other.iter_nodes())
+    with pytest.raises(ValueError, match="virtual root"):
+        tree.remove_node(other.root)
 
 
 def test_dump_round_trip_format():
