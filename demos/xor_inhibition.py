@@ -13,12 +13,12 @@ params = EpstParams(
 tree = EpstTree(0, params)
 
 # one-shot training: A = spike on channel 1 ten steps back, B = channel 2
-tree.step2_numerators_and_extend(HistoryWindow(frozenset({(10, 1)}), 32))
-tree.step2_numerators_and_extend(HistoryWindow(frozenset({(10, 2)}), 32))
+tree.step2_numerators_and_extend(HistoryWindow(frozenset({(10, 1)})))
+tree.step2_numerators_and_extend(HistoryWindow(frozenset({(10, 2)})))
 
 # one observed false positive on the joint window teaches the inhibitory
 # pattern {A, B}; the excitatory singles are left untouched
-added = record_false_positive(tree, HistoryWindow(frozenset({(10, 1), (10, 2)}), 32))
+added = record_false_positive(tree, HistoryWindow(frozenset({(10, 1), (10, 2)})))
 print(f"inhibitory patterns stored: {added}")
 print(tree.dump())
 

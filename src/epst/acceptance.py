@@ -373,11 +373,11 @@ def check_xor() -> Verdict:
         branch_extension_threshold=0, frequency_threshold=0, min_subseq_len=1
     )
     tree = EpstTree(0, params)
-    w_a = HistoryWindow(frozenset({(10, 1)}), 32)
-    w_b = HistoryWindow(frozenset({(10, 2)}), 32)
+    w_a = HistoryWindow(frozenset({(10, 1)}))
+    w_b = HistoryWindow(frozenset({(10, 2)}))
     tree.step2_numerators_and_extend(w_a)
     tree.step2_numerators_and_extend(w_b)
-    record_false_positive(tree, HistoryWindow(frozenset({(10, 1), (10, 2)}), 32))
+    record_false_positive(tree, HistoryWindow(frozenset({(10, 1), (10, 2)})))
 
     def cell(events):
         return predict_from_context([tree], events, 100).probability(0, 5)

@@ -101,42 +101,30 @@ def run_experiment(config: ExperimentConfig) -> List[str]:
         results = [_run_one(config, a, s) for a, s in jobs]
 
     written: List[str] = []
+
+    def write(name: str, text: str) -> None:
+        path = os.path.join(config.out_dir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        written.append(path)
+
     traces: Dict[str, ErrorTrace] = {}
     fp_counts: Dict[str, List[Tuple[int, int]]] = {}
     for algo in config.algorithms:
         algo_results = [r for (a, _), r in zip(jobs, results) if a == algo]
         traces[algo] = aggregate_runs([t for t, _, _ in algo_results])
-        path = os.path.join(config.out_dir, f"trace_{sid}_{algo}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(traces[algo].to_csv())
-        written.append(path)
-
+        write(f"trace_{sid}_{algo}.csv", traces[algo].to_csv())
         fps = [fp for _, fp, _ in algo_results if fp is not None]
         if fps:
             fp_counts[algo] = sum_counts(fps)
-            path = os.path.join(config.out_dir, f"fp_{sid}_{algo}.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(false_positive_csv(fp_counts[algo], algo))
-            written.append(path)
-
+            write(f"fp_{sid}_{algo}.csv", false_positive_csv(fp_counts[algo], algo))
         dump = algo_results[-1][2]
         if dump is not None:
-            path = os.path.join(config.out_dir, f"tree_{sid}_{algo}.txt")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dump)
-            written.append(path)
+            write(f"tree_{sid}_{algo}.txt", dump)
 
-    path = os.path.join(config.out_dir, f"chart_{sid}.svg")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            trace_chart(sorted(traces.items()), f"{sid}: mean error over time")
-        )
-    written.append(path)
+    write(f"chart_{sid}.svg", trace_chart(sorted(traces.items()), f"{sid}: mean error over time"))
     if fp_counts:
-        path = os.path.join(config.out_dir, f"chart_{sid}_fp.svg")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(fp_chart(sorted(fp_counts.items()), f"{sid}: false positives"))
-        written.append(path)
+        write(f"chart_{sid}_fp.svg", fp_chart(sorted(fp_counts.items()), f"{sid}: false positives"))
     return written
 
 

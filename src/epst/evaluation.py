@@ -218,21 +218,18 @@ def score_structured(
 
     sig_errors = _score_stream(run, stream.num_channels, signal, interference_cells)
 
-    int_errors: List[Tuple[int, float]] = []
-    burst: List[Event] = []
+    bursts: List[List[Event]] = []
     for e in interference:
-        if burst and e.time - burst[-1].time > 100:
-            int_errors.extend(
-                _score_stream(run, stream.num_channels, burst, signal_cells,
-                              t_prev=burst[0].time)
-            )
-            burst = []
-        burst.append(e)
-    if burst:
-        int_errors.extend(
-            _score_stream(run, stream.num_channels, burst, signal_cells,
-                          t_prev=burst[0].time)
+        if not bursts or e.time - bursts[-1][-1].time > 100:
+            bursts.append([])
+        bursts[-1].append(e)
+    int_errors = [
+        error
+        for burst in bursts
+        for error in _score_stream(
+            run, stream.num_channels, burst, signal_cells, t_prev=burst[0].time
         )
+    ]
 
     return {
         "signal": bin_errors(sig_errors, bin_width, span),

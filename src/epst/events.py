@@ -3,17 +3,19 @@ subsequence decomposition.
 
 Time is discrete (one integer step). A history window at reference time t
 holds (delay, channel) pairs for events in [t - M, t); the event at t
-itself is excluded. Subsequences are ordered subsets of a window with
-non-decreasing delays; two simultaneous items are ordered by channel.
+itself is excluded. The tree that learns from a window bounds it by its
+own M. Subsequences are ordered subsets of a window with non-decreasing
+delays; two simultaneous items are ordered by channel.
 """
 
 from __future__ import annotations
 
 import bisect
+import io
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 LABEL_SIGNAL = "signal"
 LABEL_INTERFERENCE = "interference"
@@ -97,26 +99,19 @@ class EventStream:
 Item = Tuple[int, int]
 
 
-def canonical_items(items: Iterable[Item]) -> Tuple[Item, ...]:
-    """Sort items by (delay, channel): non-decreasing delay, channel asc on ties."""
-    return tuple(sorted(items))
-
-
 @dataclass(frozen=True)
 class HistoryWindow:
     """Relative view of the recent past: the distinct (delay, channel)
-    pairs with 0 < delay <= window_length, given in any order and stored
-    in canonical order, so that consumers need not sort them."""
+    pairs with delay >= 1, given in any order and stored in canonical
+    order, so that consumers need not sort them; the last is the oldest."""
 
     entries: Tuple[Item, ...]
-    window_length: int
 
     def __post_init__(self):
-        entries = canonical_items(set(self.entries))
+        entries = tuple(sorted(set(self.entries)))
         object.__setattr__(self, "entries", entries)
-        for d, _c in entries:
-            if not (0 < d <= self.window_length):
-                raise ValueError(f"delay {d} outside (0, {self.window_length}]")
+        if entries and entries[0][0] < 1:
+            raise ValueError(f"delay {entries[0][0]} is below 1")
 
 
 # a subsequence is a non-empty tuple of items in canonical order
@@ -134,7 +129,7 @@ def window_of(stream: EventStream, t: int, m: int) -> HistoryWindow:
     if t < 0:
         raise ValueError("reference time must be >= 0")
     entries = {(t - e.time, e.channel) for e in stream.visible_between(t - m, t)}
-    return HistoryWindow(entries, m)
+    return HistoryWindow(entries)
 
 
 def enumerate_subsequences(
@@ -157,24 +152,36 @@ def enumerate_subsequences(
     return out
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file's contents. A byte that does not decode raises
+    ValueError naming the file and the 1-based line that holds it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not valid UTF-8") from None
+
+
 def read_stream(path, num_channels: int) -> EventStream:
     """Event stream file: one `time,channel[,label]` per line, UTF-8. A bad
     line raises ValueError naming the file and its 1-based line number."""
     events: List[Event] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                event = _parse_event(line, num_channels)
-                if events and event.time < events[-1].time:
-                    raise ValueError(
-                        f"time {event.time} is earlier than the previous event's {events[-1].time}"
-                    )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            events.append(event)
+    # newline=None splits lines as a file opened in text mode does
+    for lineno, raw in enumerate(io.StringIO(read_text(path), newline=None), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            event = _parse_event(line, num_channels)
+            if events and event.time < events[-1].time:
+                raise ValueError(
+                    f"time {event.time} is earlier than the previous event's {events[-1].time}"
+                )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        events.append(event)
     return EventStream(tuple(events), num_channels)
 
 

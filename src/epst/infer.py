@@ -62,12 +62,22 @@ def entropy(numerator: int, denominator: int) -> float:
 
 @dataclass(frozen=True)
 class Candidate:
+    """A representative: a stored subsequence and its counts, from which
+    its probability and entropy follow. An inhibitory pattern counts as 0
+    of 1, so both are 0."""
+
     subsequence: Subsequence
     numerator: int
     denominator: int
-    probability: float
-    entropy: float
     inhibitory: bool = False
+
+    @property
+    def probability(self) -> float:
+        return estimate_probability(self.numerator, self.denominator)
+
+    @property
+    def entropy(self) -> float:
+        return entropy(self.numerator, self.denominator)
 
     def rank_key(self):
         """Selection order: low entropy, then longer subsequence, then
@@ -82,21 +92,8 @@ class Candidate:
 
 def candidate_from_node(node: TreeNode) -> Candidate:
     if node.is_inhibitory:
-        return Candidate(
-            subsequence=node.path,
-            numerator=0,
-            denominator=1,
-            probability=0.0,
-            entropy=0.0,
-            inhibitory=True,
-        )
-    return Candidate(
-        subsequence=node.path,
-        numerator=node.numerator,
-        denominator=node.denominator,
-        probability=estimate_probability(node.numerator, node.denominator),
-        entropy=entropy(node.numerator, node.denominator),
-    )
+        return Candidate(node.path, 0, 1, inhibitory=True)
+    return Candidate(node.path, node.numerator, node.denominator)
 
 
 class _Rows(dict):
@@ -158,8 +155,9 @@ def _step_rows(m: int, mp: int, tol: int) -> Tuple[Tuple[int, ...], ...]:
     """For every event age a = t - t_k in 0..M, the step masks indexed by
     cumulative delay d in 0..M + tol: bit n is set iff an item with delay d
     matches the event in the window at t + n, i.e. |n + a - d| <= tol with
-    the event inside that window (1 <= n + a <= M) and 0 <= n <= M'. Tree
-    items are window entries, so d <= M; no d > M + tol has a nonzero mask."""
+    the event inside that window (1 <= n + a <= M) and 0 <= n <= M'. A tree
+    refuses a window entry older than M, so every stored d <= M; no
+    d > M + tol has a nonzero mask."""
     rows = []
     for a in range(m + 1):
         floor, cap = max(1 - a, 0), min(m - a, mp)

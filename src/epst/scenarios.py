@@ -11,8 +11,8 @@ from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
 from . import datagen
-from .evaluation import SCORED_LABELS, ErrorTrace, score_epst, score_vmm
-from .events import EventStream
+from .evaluation import DEFAULT_BIN_WIDTH, SCORED_LABELS, ErrorTrace, score_epst, score_vmm
+from .events import EventStream, read_text
 from .extensions import VARIANTS
 from .runner import EpstRunResult, run_epst, run_vmm
 from .tree import EpstParams
@@ -44,7 +44,7 @@ class ScenarioScript:
     scenario_id: str
     num_channels: int = datagen.NUM_CHANNELS
     total_events: int = 1000
-    bin_width: int = 250
+    bin_width: int = DEFAULT_BIN_WIDTH
     interference_intervals: List[Interval] = field(default_factory=list)
     interference_pattern_offsets: List[int] = field(default_factory=list)
     noise_intervals: List[Interval] = field(default_factory=list)
@@ -103,6 +103,21 @@ _INTERVALS = "comma-separated LO-HI intervals"
 _SECTIONS = ("scenario", "interference", "noise", "jitter", "dropout", "scoring", "epst")
 
 
+class _OutOfRange(ValueError):
+    """A value that parses but lies outside its key's range, stated by the
+    message."""
+
+
+def _at_least(low: int):
+    """A parser of integers >= low."""
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise _OutOfRange(f">= {low}")
+        return value
+    return parse
+
+
 def _parse_ints(raw: str) -> List[int]:
     return [int(x) for x in raw.split(",")]
 
@@ -115,7 +130,16 @@ def _parse_intervals(raw: str) -> List[Interval]:
             continue
         lo, hi = part.split("-")
         out.append((int(lo), int(hi)))
+    if any(lo >= hi for lo, hi in out):
+        raise _OutOfRange("LO-HI intervals with LO < HI")
     return out
+
+
+def _probability(raw: str) -> float:
+    p = float(raw)
+    if not 0.0 <= p <= 1.0:
+        raise _OutOfRange("in [0, 1]")
+    return p
 
 
 def _scoring_mode(raw: str) -> str:
@@ -125,8 +149,7 @@ def _scoring_mode(raw: str) -> str:
 
 
 def load_scenario_file(path) -> ScenarioScript:
-    with open(path, encoding="utf-8") as fh:
-        return _parse_scenario(fh.read(), str(path))
+    return _parse_scenario(read_text(path), str(path))
 
 
 def _parse_scenario(text: str, source: str) -> ScenarioScript:
@@ -139,22 +162,31 @@ def _parse_scenario(text: str, source: str) -> ScenarioScript:
     # the keys value() was asked for, per section: every section present
     # asks for all of its keys, so any other key is unknown
     known: Dict[str, List[str]] = {}
+    # ScenarioScript's arguments: a key the file leaves out keeps its default
+    script: Dict[str, object] = {}
+    overrides: Dict[str, int] = {}
 
-    def value(section, key, fallback=None, parse=int, expected="an integer", required=False):
-        """The entry parsed by `parse`; `fallback` when it is absent, unless
-        it is required."""
+    def value(section, key, name=None, parse=int, expected="an integer", required=False,
+              into=script):
+        """Store the entry, parsed and range-checked by `parse`, in `into`
+        under `name` (default: the key). An absent entry stores nothing; it
+        is an error only if it is required and its section is present."""
+        if not cp.has_section(section):
+            return
         known.setdefault(section, []).append(key)
         raw = cp[section].get(key)
         if raw is None:
             if required:
                 raise ValueError(f"{source}: [{section}] {key}: missing")
-            return fallback
+            return
         try:
-            return parse(raw)
+            into[name or key] = parse(raw)
+            return
+        except _OutOfRange as exc:
+            problem = f"must be {exc}"
         except ValueError:
-            raise ValueError(
-                f"{source}: [{section}] {key}: expected {expected}, got {raw!r}"
-            ) from None
+            problem = f"expected {expected}"
+        raise ValueError(f"{source}: [{section}] {key}: {problem}, got {raw!r}")
 
     if not cp.has_section("scenario"):
         raise ValueError(f"{source}: [scenario]: missing section")
@@ -163,46 +195,32 @@ def _parse_scenario(text: str, source: str) -> ScenarioScript:
             raise ValueError(
                 f"{source}: [{section}]: unknown section; known: {', '.join(_SECTIONS)}"
             )
-    script = ScenarioScript(
-        scenario_id=value("scenario", "id", parse=str, required=True),
-        num_channels=value("scenario", "num_channels", datagen.NUM_CHANNELS),
-        total_events=value("scenario", "total_events", 1000),
-        bin_width=value("scenario", "bin_width", 250),
-    )
-    if cp.has_section("interference"):
-        script.interference_intervals = value(
-            "interference", "intervals", parse=_parse_intervals, expected=_INTERVALS, required=True
+    value("scenario", "id", "scenario_id", str, required=True)
+    value("scenario", "num_channels", parse=_at_least(1))
+    # the base signal needs at least one whole cycle
+    value("scenario", "total_events", parse=_at_least(datagen.CYCLE_LENGTH))
+    value("scenario", "bin_width", parse=_at_least(1))
+    value("interference", "intervals", "interference_intervals", _parse_intervals, _INTERVALS,
+          required=True)
+    value("interference", "pattern_seed_offsets", "interference_pattern_offsets", _parse_ints,
+          "comma-separated integers", required=True)
+    intervals = len(script.get("interference_intervals", ()))
+    offsets = len(script.get("interference_pattern_offsets", ()))
+    if intervals != offsets:
+        raise ValueError(
+            f"{source}: [interference] pattern_seed_offsets: expected {intervals}, "
+            f"one per interval, got {offsets}"
         )
-        script.interference_pattern_offsets = value(
-            "interference", "pattern_seed_offsets", parse=_parse_ints,
-            expected="comma-separated integers", required=True,
-        )
-        intervals = len(script.interference_intervals)
-        offsets = len(script.interference_pattern_offsets)
-        if intervals != offsets:
-            raise ValueError(
-                f"{source}: [interference] pattern_seed_offsets: expected {intervals}, "
-                f"one per interval, got {offsets}"
-            )
-    if cp.has_section("noise"):
-        script.noise_intervals = value(
-            "noise", "intervals", parse=_parse_intervals, expected=_INTERVALS, required=True
-        )
-    if cp.has_section("jitter"):
-        script.jitter_onset_event = value("jitter", "onset_event", required=True)
-        script.jitter_max = value("jitter", "max", datagen.JITTER_MAX)
-    if cp.has_section("dropout"):
-        script.dropout_p = value("dropout", "p", parse=float, expected="a number", required=True)
-        script.dropout_onset_time = value("dropout", "onset_time", required=True)
-    if cp.has_section("scoring"):
-        script.scoring_mode = value(
-            "scoring", "mode", "structured", parse=_scoring_mode,
-            expected=f"one of {', '.join(SCORED_LABELS)}",
-        )
-        script.scoring_pad = value("scoring", "pad", 0)
-    if cp.has_section("epst"):
-        overrides = {f.name: value("epst", f.name) for f in fields(EpstParams)}
-        script.epst_overrides = {k: v for k, v in overrides.items() if v is not None}
+    value("noise", "intervals", "noise_intervals", _parse_intervals, _INTERVALS, required=True)
+    value("jitter", "onset_event", "jitter_onset_event", _at_least(0), required=True)
+    value("jitter", "max", "jitter_max", _at_least(0))
+    value("dropout", "p", "dropout_p", _probability, "a number", required=True)
+    value("dropout", "onset_time", "dropout_onset_time", _at_least(0), required=True)
+    value("scoring", "mode", "scoring_mode", _scoring_mode,
+          f"one of {', '.join(SCORED_LABELS)}")
+    value("scoring", "pad", "scoring_pad", _at_least(0))
+    for f in fields(EpstParams):
+        value("epst", f.name, into=overrides)
     for section in cp.sections():
         for key in cp[section]:
             if key not in known[section]:
@@ -210,33 +228,13 @@ def _parse_scenario(text: str, source: str) -> ScenarioScript:
                     f"{source}: [{section}] {key}: unknown key; "
                     f"known: {', '.join(known[section])}"
                 )
-    # every default lies in its range, so a value out of range is one the file
-    # set; the onsets are None only without their section
-    ordered, cycle = "LO-HI intervals with LO < HI", datagen.CYCLE_LENGTH
-    for section, key, held, rule in (
-        ("scenario", "num_channels", script.num_channels >= 1, ">= 1"),
-        # the base signal needs at least one whole cycle
-        ("scenario", "total_events", script.total_events >= cycle, f">= {cycle}"),
-        ("scenario", "bin_width", script.bin_width >= 1, ">= 1"),
-        ("interference", "intervals", all(lo < hi for lo, hi in script.interference_intervals),
-         ordered),
-        ("noise", "intervals", all(lo < hi for lo, hi in script.noise_intervals), ordered),
-        ("jitter", "onset_event", (script.jitter_onset_event or 0) >= 0, ">= 0"),
-        ("jitter", "max", script.jitter_max >= 0, ">= 0"),
-        ("dropout", "p", 0.0 <= script.dropout_p <= 1.0, "in [0, 1]"),
-        ("dropout", "onset_time", (script.dropout_onset_time or 0) >= 0, ">= 0"),
-        ("scoring", "pad", script.scoring_pad >= 0, ">= 0"),
-    ):
-        if not held:
-            raw = cp[section][key]
-            raise ValueError(f"{source}: [{section}] {key}: must be {rule}, got {raw!r}")
     try:
-        EpstParams(**script.epst_overrides)
+        EpstParams(**overrides)
     except ValueError as exc:
         # every EpstParams message starts with the parameter's name
         key, _, reason = str(exc).partition(" ")
         raise ValueError(f"{source}: [epst] {key}: {reason}") from None
-    return script
+    return ScenarioScript(**script, epst_overrides=overrides)
 
 
 def load_scenario(scenario_id: str) -> ScenarioScript:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from itertools import groupby
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .events import (
     Event,
@@ -202,14 +202,22 @@ class EpstTree:
                 if not node.is_inhibitory:
                     node.denominator += 1
 
+    def _bounded_entries(self, window: HistoryWindow) -> Tuple[Item, ...]:
+        """The entries to store; ValueError if the oldest is beyond M."""
+        entries, m = window.entries, self.params.history_window
+        if entries and entries[-1][0] > m:
+            raise ValueError(f"window delay {entries[-1][0]} exceeds history_window {m}")
+        return entries
+
     def step2_numerators_and_extend(self, window: HistoryWindow) -> None:
         """Triggered on a spike in channel g at the current time; `window`
-        is the history window of that spike. Increments the root count and
+        is the history window of that spike (ValueError, with the tree
+        unchanged, if it reaches beyond M). Increments the root count and
         the numerator of every matching node, then extends branches below
         nodes whose numerator exceeds the branch extension threshold."""
         p = self.params
+        entries = self._bounded_entries(window)
         self.root_count += 1
-        entries = window.entries
         found = set()
         _match_below(self.root, 0, entries, p.matching_interval, set(), found)
         matched = sorted(found, key=TreeNode.sort_key)

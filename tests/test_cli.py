@@ -331,6 +331,16 @@ def test_main_bad_scenario_value_is_usage_error(tmp_path, capsys, text, where, p
     assert not out.exists()  # no job ran
 
 
+def test_main_scenario_file_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"[scenario]\nid = bad\n\xff\n")
+    out = tmp_path / "out"
+    code = run_main(["run", "--scenario-file", str(path), "--seeds", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"bad scenario file: {path}:3: not valid UTF-8\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "entry, where",
     [("history_windw = 16", "[epst] history_windw: unknown key"),

@@ -22,8 +22,8 @@ def xor_params():
 
 def trained_xor_tree():
     tree = EpstTree(0, xor_params())
-    tree.step2_numerators_and_extend(HistoryWindow(frozenset({(10, 1)}), 32))
-    tree.step2_numerators_and_extend(HistoryWindow(frozenset({(10, 2)}), 32))
+    tree.step2_numerators_and_extend(HistoryWindow(frozenset({(10, 1)})))
+    tree.step2_numerators_and_extend(HistoryWindow(frozenset({(10, 2)})))
     return tree
 
 
@@ -33,7 +33,7 @@ def trained_xor_tree():
 
 def test_record_false_positive_skips_existing_excitatory():
     tree = trained_xor_tree()
-    window = HistoryWindow(frozenset({(10, 1), (10, 2)}), 32)
+    window = HistoryWindow(frozenset({(10, 1), (10, 2)}))
     # the two singles already exist as excitatory patterns; only the pair
     # is new, so exactly one inhibitory pattern is stored
     added = record_false_positive(tree, window)
@@ -47,7 +47,7 @@ def test_record_false_positive_skips_existing_excitatory():
 
 def test_xor_prediction_exact():
     tree = trained_xor_tree()
-    record_false_positive(tree, HistoryWindow(frozenset({(10, 1), (10, 2)}), 32))
+    record_false_positive(tree, HistoryWindow(frozenset({(10, 1), (10, 2)})))
 
     def cell(events):
         return predict_from_context([tree], events, 100).probability(0, 5)
@@ -60,16 +60,16 @@ def test_xor_prediction_exact():
 def test_record_respects_min_subseq_len():
     params = EpstParams(branch_extension_threshold=0)  # min_subseq_len = 2
     tree = EpstTree(0, params)
-    added = record_false_positive(tree, HistoryWindow(frozenset({(10, 1)}), 32))
+    added = record_false_positive(tree, HistoryWindow(frozenset({(10, 1)})))
     assert added == 0
     assert tree.node_count == 0
 
 
 def test_inhibitory_counts_frozen_during_learning():
     tree = trained_xor_tree()
-    record_false_positive(tree, HistoryWindow(frozenset({(10, 1), (10, 2)}), 32))
+    record_false_positive(tree, HistoryWindow(frozenset({(10, 1), (10, 2)})))
     pair = tree.root.children[(10, 1)].children[(10, 2)]
-    window = HistoryWindow(frozenset({(10, 1), (10, 2)}), 32)
+    window = HistoryWindow(frozenset({(10, 1), (10, 2)}))
     tree.step1_denominators(Event(50, 1), window)
     tree.step2_numerators_and_extend(window)
     assert (pair.numerator, pair.denominator) == (0, 0)
@@ -78,7 +78,7 @@ def test_inhibitory_counts_frozen_during_learning():
 
 def test_maintenance_destroys_after_threshold():
     tree = trained_xor_tree()
-    record_false_positive(tree, HistoryWindow(frozenset({(10, 1), (10, 2)}), 32))
+    record_false_positive(tree, HistoryWindow(frozenset({(10, 1), (10, 2)})))
     pair = tree.root.children[(10, 1)].children[(10, 2)]
     # three false negatives tolerated, the fourth crosses the limit
     for _ in range(3):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from epst import runner
 from epst.acceptance import _injective_match, random_stream
-from epst.events import Event, EventStream, window_of
+from epst.events import Event, EventStream, HistoryWindow, window_of
 from epst.extensions import VARIANTS, record_false_positive
 from epst.infer import (
     Candidate,
@@ -66,14 +66,8 @@ def test_entropy_bounds(num, den):
 
 def cand(sub_items, num, den, inhibitory=False):
     if inhibitory:
-        return Candidate(sub_items, 0, 1, 0.0, 0.0, True)
-    return Candidate(
-        sub_items,
-        num,
-        den,
-        estimate_probability(num, den),
-        entropy(num, den),
-    )
+        return Candidate(sub_items, 0, 1, True)
+    return Candidate(sub_items, num, den)
 
 
 def test_select_lowest_entropy_wins():
@@ -149,6 +143,23 @@ def test_tree_delays_stay_within_history_window():
         for e in stream.events[20:70:5]:
             record_false_positive(tree, window_of(stream, e.time, p.history_window))
         assert max(n.cum_delay for n in tree.iter_nodes()) <= p.history_window
+    # both steps that store items refuse a window reaching past M before
+    # they change the tree; with max_spike_interval above M they would
+    # otherwise store its items
+    p = EpstParams(
+        history_window=16, max_spike_interval=32, branch_extension_threshold=0, min_subseq_len=1
+    )
+    tree = EpstTree(0, p)
+    tree.step2_numerators_and_extend(HistoryWindow({(5, 1), (16, 2)}))
+    before = (tree.node_count, tree.root_count, tree.dump())
+    for store, window, oldest in [
+        (tree.step2_numerators_and_extend, HistoryWindow({(30, 1)}), 30),
+        (tree.step2_numerators_and_extend, HistoryWindow({(5, 1), (17, 2)}), 17),
+        (lambda w: record_false_positive(tree, w), HistoryWindow({(20, 1), (30, 2)}), 30),
+    ]:
+        with pytest.raises(ValueError, match=f"delay {oldest} exceeds history_window 16"):
+            store(window)
+        assert (tree.node_count, tree.root_count, tree.dump()) == before
 
 
 def test_sparse_rows():
@@ -342,8 +353,6 @@ def test_chosen_records_explain_cells():
     matrix = predict_window(trees, stream, t)
     for (g, n), c in matrix.chosen.items():
         assert matrix.probability(g, n) == c.probability
-        if not c.inhibitory:
-            assert c.probability == estimate_probability(c.numerator, c.denominator)
 
 
 def test_matrix_single_pattern_probability():
