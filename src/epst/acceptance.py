@@ -125,11 +125,10 @@ def replay_counts(
             # that matched this window; only those may extend, and only past
             # the extension threshold
             grow: List[Subsequence] = []
-            if p.max_subseq_len >= 1:
-                for entry in entries:
-                    if entry[0] <= p.max_spike_interval and (entry,) not in counts:
-                        counts[(entry,)] = [1, 1]
-                        grow.append((entry,))
+            for entry in entries:
+                if (entry,) not in counts:
+                    counts[(entry,)] = [1, 1]
+                    grow.append((entry,))
             grow.extend(matched)
             while grow:
                 items = grow.pop()
@@ -139,8 +138,6 @@ def replay_counts(
                     continue
                 for entry in entries:
                     if entry <= items[-1]:
-                        continue
-                    if entry[0] - items[-1][0] > p.max_spike_interval:
                         continue
                     ext = items + (entry,)
                     if ext not in counts:
@@ -190,7 +187,7 @@ def check_one_shot() -> Verdict:
 
 def check_count_oracle() -> Verdict:
     """Tree counts equal the flat-dict replay oracle on random streams."""
-    params = EpstParams(history_window=16, prediction_window=12, max_spike_interval=16)
+    params = EpstParams(history_window=16, prediction_window=12)
     rng = np.random.default_rng(20240811)
     mismatches = 0
     checked = 0

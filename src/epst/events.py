@@ -4,13 +4,15 @@ subsequence decomposition.
 Time is discrete (one integer step). A history window at reference time t
 holds (delay, channel) pairs for events in [t - M, t); the event at t
 itself is excluded. The tree that learns from a window bounds it by its
-own M. Subsequences are ordered subsets of a window with non-decreasing
+own M, so M bounds every stored delay and every gap between consecutive
+items. Subsequences are ordered subsets of a window with non-decreasing
 delays; two simultaneous items are ordered by channel.
 """
 
 from __future__ import annotations
 
 import bisect
+import codecs
 import io
 from dataclasses import dataclass
 from functools import cached_property
@@ -133,30 +135,26 @@ def window_of(stream: EventStream, t: int, m: int) -> HistoryWindow:
 
 
 def enumerate_subsequences(
-    window: HistoryWindow, min_len: int, max_len: int, max_gap: int
+    window: HistoryWindow, min_len: int, max_len: int
 ) -> List[Subsequence]:
-    """Every subset of the window with min_len <= size <= max_len where the
-    gap between consecutive items (by delay) is <= max_gap.
-
-    Returned in deterministic canonical order.
-    """
+    """Every subset of the window with min_len <= size <= max_len, in
+    canonical order."""
     if not (1 <= min_len <= max_len):
         raise ValueError("need 1 <= min_len <= max_len")
     entries = window.entries
     out = []
     for k in range(min_len, min(max_len, len(entries)) + 1):
-        for combo in combinations(entries, k):
-            if all(b[0] - a[0] <= max_gap for a, b in zip(combo, combo[1:])):
-                out.append(combo)
+        out.extend(combinations(entries, k))
     out.sort(key=sort_key)
     return out
 
 
 def read_text(path) -> str:
-    """A UTF-8 text file's contents. A byte that does not decode raises
-    ValueError naming the file and the 1-based line that holds it."""
+    """A UTF-8 text file's contents, less one leading byte-order mark. A
+    byte that does not decode raises ValueError naming the file and the
+    1-based line that holds it."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -46,18 +46,14 @@ def _is_excitatory(node: TreeNode) -> bool:
 
 
 def record_false_positive(tree: EpstTree, window: HistoryWindow) -> int:
-    """Store every subsequence of the window (within the tree's length and
-    gap limits) that does not already exist as an excitatory pattern as an
+    """Store every subsequence of the window (within the tree's length
+    limits) that does not already exist as an excitatory pattern as an
     inhibitory node. Returns the number of patterns added. ValueError, with
     the tree unchanged, if the window reaches beyond the tree's M."""
     p = tree.params
     tree._bounded_entries(window)
     added = 0
-    for sub in enumerate_subsequences(
-        window, p.min_subseq_len, p.max_subseq_len, p.max_spike_interval
-    ):
-        if sub[0][0] > p.max_spike_interval:
-            continue
+    for sub in enumerate_subsequences(window, p.min_subseq_len, p.max_subseq_len):
         node = tree.root
         for item in sub:
             child = node.children.get(item)

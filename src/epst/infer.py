@@ -153,16 +153,16 @@ EventTable = Dict[int, List[Tuple[int, Tuple[int, ...]]]]
 @lru_cache(maxsize=64)
 def _step_rows(m: int, mp: int, tol: int) -> Tuple[Tuple[int, ...], ...]:
     """For every event age a = t - t_k in 0..M, the step masks indexed by
-    cumulative delay d in 0..M + tol: bit n is set iff an item with delay d
-    matches the event in the window at t + n, i.e. |n + a - d| <= tol with
-    the event inside that window (1 <= n + a <= M) and 0 <= n <= M'. A tree
-    refuses a window entry older than M, so every stored d <= M; no
-    d > M + tol has a nonzero mask."""
+    cumulative delay d in 0..M, the delays a tree can store, since it
+    refuses a window entry older than M: bit n is set iff an item with
+    delay d matches the event in the window at t + n, i.e. |n + a - d| <=
+    tol with the event inside that window (1 <= n + a <= M) and
+    0 <= n <= M'."""
     rows = []
     for a in range(m + 1):
         floor, cap = max(1 - a, 0), min(m - a, mp)
         row = []
-        for d in range(m + tol + 1):
+        for d in range(m + 1):
             lo, hi = max(d - a - tol, floor), min(d - a + tol, cap)
             row.append(((1 << (hi - lo + 1)) - 1) << lo if lo <= hi else 0)
         rows.append(tuple(row))

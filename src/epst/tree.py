@@ -38,7 +38,6 @@ class EpstParams:
     prediction_window: int = 28       # M'
     min_subseq_len: int = 2
     max_subseq_len: int = 4
-    max_spike_interval: int = 32
     branch_extension_threshold: int = 1
     frequency_threshold: int = 0
     matching_interval: int = 0        # tol
@@ -229,8 +228,6 @@ class EpstTree:
         # Window entries always enter as level-1 nodes; deeper growth is
         # gated by the extension threshold.
         for entry in entries:
-            if entry[0] > p.max_spike_interval:
-                continue
             child = self.root.children.get(entry)
             if child is None:
                 child = self._add_child(self.root, entry)
@@ -248,8 +245,6 @@ class EpstTree:
             for entry in entries:
                 if entry <= node.item:
                     continue  # canonical order; each subset built once
-                if entry[0] - node.cum_delay > p.max_spike_interval:
-                    continue
                 if entry in node.children:
                     continue
                 child = self._add_child(node, entry)

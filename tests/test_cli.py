@@ -1,5 +1,6 @@
 """Command line and scenario loader tests."""
 
+import codecs
 import dataclasses
 import os
 
@@ -55,6 +56,13 @@ def test_scenario_file_round_trip(tiny_cfg):
     assert script.total_events == 120
     assert script.scoring_mode == "structured"
     assert script.interference_intervals == []
+
+
+def test_scenario_file_byte_order_mark_is_skipped(tmp_path, tiny_cfg):
+    # some editors save UTF-8 with a leading byte-order mark
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(codecs.BOM_UTF8 + TINY_SCENARIO.encode())
+    assert load_scenario_file(path) == load_scenario_file(tiny_cfg)
 
 
 def test_scenario_interference_offsets_validated(tmp_path):
@@ -223,6 +231,8 @@ def test_main_empty_or_repeated_algorithm_list_is_usage_error(
     [
         ("min_subseq_len", ["--epst.min_subseq_len", "5"]),
         ("history_windw", ["--epst.history_windw", "16"]),
+        # M (--epst.history_window) alone bounds delays and gaps
+        ("max_spike_interval", ["--epst.max_spike_interval", "16"]),
     ],
 )
 def test_main_bad_tree_parameter_is_usage_error(tmp_path, tiny_cfg, capsys, name, extra):
@@ -263,6 +273,10 @@ def test_main_non_integer_tree_parameter_is_usage_error(tmp_path, tiny_cfg, caps
         (TINY_SCENARIO + "\n[epst]\nhistory_windw = 16\n",
          "[epst] history_windw", "unknown key; known: " + ", ".join(
              f.name for f in dataclasses.fields(EpstParams))),
+        (TINY_SCENARIO + "\n[epst]\nmax_spike_interval = 16\n",
+         "[epst] max_spike_interval", "unknown key; known: history_window, prediction_window, "
+         "min_subseq_len, max_subseq_len, branch_extension_threshold, frequency_threshold, "
+         "matching_interval"),
         (TINY_SCENARIO + "\n[epst]\nmin_subseq_len = 9\n",
          "[epst] min_subseq_len", "must be <= max_subseq_len"),
         (TINY_SCENARIO + "\n[noise]\nintervals = 100-abc\n",

@@ -121,7 +121,7 @@ def test_prune_keeps_interior_with_surviving_descendant():
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_prune_entropy_postconditions(seed):
-    p = EpstParams(history_window=16, max_spike_interval=16)
+    p = EpstParams(history_window=16)
     stream = random_stream(seed, 120, 4)
     tree = learn_stream(stream, p)[0]
     before = {n.path: (n.numerator, n.denominator) for n in tree.iter_nodes()}

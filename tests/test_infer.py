@@ -88,7 +88,7 @@ def test_select_tie_breaks():
 
 
 def test_rank_key_matches_candidate_rank_key():
-    p = EpstParams(history_window=12, max_subseq_len=3, max_spike_interval=12)
+    p = EpstParams(history_window=12, max_subseq_len=3)
     stream = random_stream(31, 60, 3)
     rng = np.random.default_rng(3)
     inhibitory = 0
@@ -122,21 +122,20 @@ def interval_mask(d, age, m, mp, tol):
 @pytest.mark.parametrize("tol", [0, 2])
 @pytest.mark.parametrize("m,mp", [(16, 12), (10, 12), (32, 28)])
 def test_step_rows_match_interval_formula(m, mp, tol):
+    # a row covers the delays a tree can store, 0..M
     rows = _step_rows(m, mp, tol)
     assert len(rows) == m + 1
     for age, row in enumerate(rows):
-        assert len(row) == m + tol + 1
-        for d in range(m + tol + 1):
+        assert len(row) == m + 1
+        for d in range(m + 1):
             assert row[d] == interval_mask(d, age, m, mp, tol)
-        # the row holds every nonzero mask
-        assert all(interval_mask(d, age, m, mp, tol) == 0 for d in range(m + tol + 1, 2 * m + 4))
     # ages past M match nowhere
     assert all(interval_mask(d, m + 1, m, mp, tol) == 0 for d in range(2 * m + 4))
 
 
 def test_tree_delays_stay_within_history_window():
-    # the step rows are indexed by cumulative delay up to M + tol
-    p = EpstParams(history_window=12, max_subseq_len=3, max_spike_interval=12)
+    # the step rows are indexed by cumulative delay up to M
+    p = EpstParams(history_window=12, max_subseq_len=3)
     stream = random_stream(32, 80, 3)
     trees = learn_stream(stream, p)
     for tree in trees:
@@ -144,11 +143,8 @@ def test_tree_delays_stay_within_history_window():
             record_false_positive(tree, window_of(stream, e.time, p.history_window))
         assert max(n.cum_delay for n in tree.iter_nodes()) <= p.history_window
     # both steps that store items refuse a window reaching past M before
-    # they change the tree; with max_spike_interval above M they would
-    # otherwise store its items
-    p = EpstParams(
-        history_window=16, max_spike_interval=32, branch_extension_threshold=0, min_subseq_len=1
-    )
+    # they change the tree: M is the one bound on a stored delay
+    p = EpstParams(history_window=16, branch_extension_threshold=0, min_subseq_len=1)
     tree = EpstTree(0, p)
     tree.step2_numerators_and_extend(HistoryWindow({(5, 1), (16, 2)}))
     before = (tree.node_count, tree.root_count, tree.dump())
@@ -180,7 +176,7 @@ def test_sparse_rows():
 
 
 def test_predicted_rows_are_nonzero():
-    p = EpstParams(history_window=16, max_spike_interval=16)
+    p = EpstParams(history_window=16)
     stream = random_stream(9, 80, 4)
     trees = learn_stream(stream, p)
     stored = 0
@@ -258,7 +254,6 @@ def test_prediction_matches_naive_oracle(seed, tol):
     p = EpstParams(
         history_window=16,
         prediction_window=12,
-        max_spike_interval=16,
         matching_interval=tol,
     )
     stream = random_stream(seed, 80, 4)
@@ -274,7 +269,6 @@ def test_prediction_matches_naive_oracle_property(seed):
         history_window=12,
         prediction_window=8,
         max_subseq_len=3,
-        max_spike_interval=12,
         min_subseq_len=1,
     )
     stream = random_stream(seed, 40, 3)
@@ -295,7 +289,6 @@ def test_prediction_with_inhibitory_matches_naive_oracle(min_len, frequency_thre
         prediction_window=10,
         min_subseq_len=min_len,
         max_subseq_len=3,
-        max_spike_interval=12,
         frequency_threshold=frequency_threshold,
         matching_interval=tol,
     )
@@ -346,7 +339,7 @@ def test_context_events_bounds():
 
 
 def test_chosen_records_explain_cells():
-    p = EpstParams(history_window=16, max_spike_interval=16)
+    p = EpstParams(history_window=16)
     stream = random_stream(9, 80, 4)
     trees = learn_stream(stream, p)
     t = stream.events[-1].time
@@ -356,9 +349,7 @@ def test_chosen_records_explain_cells():
 
 
 def test_matrix_single_pattern_probability():
-    p = EpstParams(
-        history_window=16, prediction_window=4, max_spike_interval=16, min_subseq_len=1
-    )
+    p = EpstParams(history_window=16, prediction_window=4, min_subseq_len=1)
     stream = EventStream(
         (Event(10, 1), Event(15, 0), Event(30, 1), Event(35, 0), Event(48, 1)), 2
     )
@@ -374,7 +365,7 @@ def test_matrix_single_pattern_probability():
 
 
 def test_oversized_sample_equals_full():
-    p = EpstParams(history_window=16, max_spike_interval=16)
+    p = EpstParams(history_window=16)
     stream = random_stream(11, 80, 4)
     trees = learn_stream(stream, p)
     t = stream.events[-1].time
@@ -387,7 +378,7 @@ def test_oversized_sample_equals_full():
 
 
 def test_sampling_deterministic_and_bounded():
-    p = EpstParams(history_window=16, max_spike_interval=16)
+    p = EpstParams(history_window=16)
     stream = random_stream(12, 80, 4)
     trees = learn_stream(stream, p)
     t = stream.events[-1].time
@@ -405,7 +396,7 @@ def test_sampling_deterministic_and_bounded():
 
 
 def test_sampled_equals_max_over_single_runs():
-    p = EpstParams(history_window=16, max_spike_interval=16, min_subseq_len=1)
+    p = EpstParams(history_window=16, min_subseq_len=1)
     stream = random_stream(13, 60, 3)
     trees = learn_stream(stream, p)
     t = stream.events[-1].time
@@ -468,7 +459,6 @@ def test_sampled_matches_per_repeat_reference(min_len, tol):
     p = EpstParams(
         history_window=24,
         max_subseq_len=3,
-        max_spike_interval=24,
         min_subseq_len=min_len,
         matching_interval=tol,
     )
@@ -502,7 +492,7 @@ def test_sampled_run_matches_per_repeat_reference(monkeypatch):
     # inhibition learns from the sampled cells and hits: a wrong cell shows
     # in the trees, and a wrong hit mask in the false-negative counts
     stream = random_stream(44, 300, 4)
-    params = EpstParams(history_window=24, max_spike_interval=24)
+    params = EpstParams(history_window=24)
     sampling = SamplingConfig(4, 3, 5)
     got = run_epst(stream, params, VARIANTS["epst_ip"], sampling)
     monkeypatch.setattr(runner, "sampled_predict", _sampled_reference)

@@ -102,7 +102,7 @@ def test_run_leaves_no_reference_cycles(monkeypatch):
     afterwards finds no unreachable object. A forest holds no cycle, since
     no node points back to its parent."""
     stream = random_stream(0, 510, 2)
-    params = EpstParams(history_window=8, max_spike_interval=8, max_subseq_len=3)
+    params = EpstParams(history_window=8, max_subseq_len=3)
     pruned, destroyed = [], []
     prune, maintain = runner.prune_entropy, runner.inhibitory_maintenance
 

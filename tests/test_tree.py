@@ -2,6 +2,8 @@
 flat-dictionary replay oracle (`epst.acceptance.replay_counts`) and a few
 fully hand-worked episodes."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,7 +35,7 @@ def test_single_item_counts_hand_worked():
     stream = EventStream(
         (Event(10, 1), Event(15, 0), Event(30, 1), Event(35, 0), Event(50, 1)), 2
     )
-    p = EpstParams(history_window=16, max_spike_interval=16)
+    p = EpstParams(history_window=16)
     tree = learn_stream(stream, p)[0]
     assert tree_counts(tree) == {((5, 1),): (2, 3)}
     assert tree.root_count == 2
@@ -45,7 +47,7 @@ def test_extension_waits_for_second_confirmation():
     # appear once the singles' numerators exceed the threshold of 1
     first = (Event(10, 1), Event(12, 2), Event(15, 0))
     second = (Event(30, 1), Event(32, 2), Event(35, 0))
-    p = EpstParams(history_window=16, max_spike_interval=16)
+    p = EpstParams(history_window=16)
 
     tree1 = learn_stream(EventStream(first, 3), p)[0]
     assert tree_counts(tree1) == {((3, 2),): (1, 1), ((5, 1),): (1, 1)}
@@ -69,20 +71,22 @@ def test_one_shot_builds_full_power_set():
 
 
 def test_history_window_and_interval_limits():
-    # the ch1 event is 40 steps old (outside M=32): no node for it; the
-    # ch2 event at delay 25 exceeds max_spike_interval so it never enters
-    # as a single, yet it still chains below ch3 (gap 20 <= 20)
+    # M = 32 bounds every delay and gap: the ch1 event, 40 steps old at both
+    # g spikes, makes no node; the ch2 event at delay 25 enters as a single,
+    # and with threshold 0 each window stores all its subsets, gaps of up to
+    # 25 included
     stream = EventStream(
         (Event(0, 1), Event(15, 2), Event(35, 3), Event(40, 0), Event(41, 0)), 4
     )
-    p = EpstParams(branch_extension_threshold=0, max_spike_interval=20)
-    tree = learn_stream(stream, p)[0]
-    got = tree_counts(tree)
-    assert all(item[1] != 1 for items in got for item in items)
-    assert ((5, 3),) in got
-    assert ((25, 2),) not in got and ((26, 2),) not in got
-    assert ((5, 3), (25, 2)) in got
-    assert ((1, 0), (26, 2)) not in got  # gap 25 > max_spike_interval
+    p = EpstParams(branch_extension_threshold=0)
+    got = tree_counts(learn_stream(stream, p)[0])
+    windows = [((5, 3), (25, 2)), ((1, 0), (6, 3), (26, 2))]  # at t = 40, 41
+    assert got == {
+        sub: (1, 1)
+        for window in windows
+        for k in range(1, len(window) + 1)
+        for sub in combinations(window, k)
+    }
 
 
 def test_max_depth_respected():
@@ -106,7 +110,6 @@ def test_counts_match_replay_oracle(seed, tol):
     p = EpstParams(
         history_window=16,
         prediction_window=12,
-        max_spike_interval=16,
         matching_interval=tol,
     )
     stream = random_stream(seed, 60, 4)
@@ -122,7 +125,6 @@ def test_counts_match_replay_oracle_property(seed, et):
         history_window=12,
         prediction_window=8,
         max_subseq_len=3,
-        max_spike_interval=12,
         branch_extension_threshold=et,
     )
     stream = random_stream(seed, 30, 3)
@@ -166,7 +168,7 @@ def assert_branching_index(tree):
 
 
 def test_sort_key_kept_through_maintenance():
-    p = EpstParams(history_window=16, max_spike_interval=16, max_subseq_len=3)
+    p = EpstParams(history_window=16, max_subseq_len=3)
     stream = random_stream(14, 80, 4)
     tree = learn_stream(stream, p)[0]
     assert_branching_index(tree)
@@ -246,7 +248,7 @@ def test_remove_node_refuses_a_node_not_in_the_tree():
 
 def test_dump_round_trip_format():
     stream = EventStream((Event(10, 1), Event(15, 0), Event(30, 1), Event(35, 0)), 2)
-    p = EpstParams(history_window=16, max_spike_interval=16)
+    p = EpstParams(history_window=16)
     tree = learn_stream(stream, p)[0]
     assert tree.dump() == (
         "tree g=0 root_count=2 nodes=1\n"
