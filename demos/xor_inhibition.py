@@ -7,9 +7,7 @@ Run: python3 demos/xor_inhibition.py
 from epst import EpstParams, EpstTree, predict_from_context, record_false_positive
 from epst.events import HistoryWindow
 
-params = EpstParams(
-    branch_extension_threshold=0, frequency_threshold=0, min_subseq_len=1
-)
+params = EpstParams(branch_extension_threshold=0, min_subseq_len=1)
 tree = EpstTree(0, params)
 
 # one-shot training: A = spike on channel 1 ten steps back, B = channel 2

@@ -170,7 +170,7 @@ def random_stream(seed: int, num_events: int, num_channels: int) -> EventStream:
 def check_one_shot() -> Verdict:
     """A single presentation of a 4-event pattern followed by a spike gives
     probability exactly 1.0 at the correct cell on the next presentation."""
-    params = EpstParams(branch_extension_threshold=0, frequency_threshold=0)
+    params = EpstParams(branch_extension_threshold=0)
     pattern = [Event(10, 1), Event(13, 2), Event(16, 3), Event(20, 4)]
     first = pattern + [Event(27, 0)]
     second = [Event(e.time + 100, e.channel) for e in pattern]
@@ -366,9 +366,7 @@ def check_et0_false_positives() -> Verdict:
 def check_xor() -> Verdict:
     """Inhibition solves exclusive-or: p=1 for either pattern alone, p=0
     for both together."""
-    params = EpstParams(
-        branch_extension_threshold=0, frequency_threshold=0, min_subseq_len=1
-    )
+    params = EpstParams(branch_extension_threshold=0, min_subseq_len=1)
     tree = EpstTree(0, params)
     w_a = HistoryWindow(frozenset({(10, 1)}))
     w_b = HistoryWindow(frozenset({(10, 2)}))

@@ -11,8 +11,8 @@ Matching for all steps of one trigger is done in a single tree walk:
 an item (d, c) of a stored pattern matches an event with age a = t - t_k
 at step n iff |n + a - d| <= tol, so each (item, event) pair contributes
 a contiguous interval of steps, tracked as a bitmask during the walk. The
-masks come from per-age step tables (`_step_rows`), built once per
-(M, M', tol) and indexed by d. Matched nodes are ranked as plain tuples;
+masks come from one step table (`_lane_row`), a row per (M, M', tol,
+age, lane spread), indexed by d. Matched nodes are ranked as plain tuples;
 only a node that wins a nonzero cell becomes a `Candidate`, and the
 prediction matrix stores only rows with a nonzero cell.
 
@@ -69,7 +69,6 @@ class Candidate:
     subsequence: Subsequence
     numerator: int
     denominator: int
-    inhibitory: bool = False
 
     @property
     def probability(self) -> float:
@@ -92,7 +91,7 @@ class Candidate:
 
 def candidate_from_node(node: TreeNode) -> Candidate:
     if node.is_inhibitory:
-        return Candidate(node.path, 0, 1, inhibitory=True)
+        return Candidate(node.path, 0, 1)
     return Candidate(node.path, node.numerator, node.denominator)
 
 
@@ -150,29 +149,21 @@ class PredictionMatrix:
 EventTable = Dict[int, List[Tuple[int, Tuple[int, ...]]]]
 
 
-@lru_cache(maxsize=64)
-def _step_rows(m: int, mp: int, tol: int) -> Tuple[Tuple[int, ...], ...]:
-    """For every event age a = t - t_k in 0..M, the step masks indexed by
+@lru_cache(maxsize=1 << 12)
+def _lane_row(m: int, mp: int, tol: int, age: int, spread: int) -> Tuple[int, ...]:
+    """For an event of age a = t - t_k in 0..M, the step masks indexed by
     cumulative delay d in 0..M, the delays a tree can store, since it
     refuses a window entry older than M: bit n is set iff an item with
     delay d matches the event in the window at t + n, i.e. |n + a - d| <=
     tol with the event inside that window (1 <= n + a <= M) and
-    0 <= n <= M'."""
-    rows = []
-    for a in range(m + 1):
-        floor, cap = max(1 - a, 0), min(m - a, mp)
-        row = []
-        for d in range(m + 1):
-            lo, hi = max(d - a - tol, floor), min(d - a + tol, cap)
-            row.append(((1 << (hi - lo + 1)) - 1) << lo if lo <= hi else 0)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=1 << 12)
-def _lane_row(m: int, mp: int, tol: int, age: int, spread: int) -> Tuple[int, ...]:
-    """The _step_rows row of `age` copied into the lanes of `spread`."""
-    return tuple(x * spread for x in _step_rows(m, mp, tol)[age])
+    0 <= n <= M'. Each mask is multiplied by `spread`, which copies it into
+    every lane the spread holds (module docstring)."""
+    floor, cap = max(1 - age, 0), min(m - age, mp)
+    row = []
+    for d in range(m + 1):
+        lo, hi = max(d - age - tol, floor), min(d - age + tol, cap)
+        row.append((((1 << (hi - lo + 1)) - 1) << lo) * spread if lo <= hi else 0)
+    return tuple(row)
 
 
 def _event_table(
@@ -180,12 +171,15 @@ def _event_table(
 ) -> EventTable:
     """The context at t grouped by channel, in event order. Each event
     becomes (bit, row): its bit in the walk's used-event mask and its
-    _step_rows row times its lane spread, so an item with cumulative delay
-    d matches it at the steps `row[d]` of each of its lanes. An event in no
-    lane (spread 0), or older than M, matches at no step and is left out."""
+    _lane_row row for its age and lane spread, so an item with cumulative
+    delay d matches it at the steps `row[d]` of each of its lanes. An event
+    in no lane (spread 0), or older than M, matches at no step and is left
+    out. An event later than t is not context: ValueError."""
     table: EventTable = {}
     for k, ((time_k, c_k), spread) in enumerate(zip(events, spreads)):
         age = t - time_k
+        if age < 0:
+            raise ValueError(f"context event at time {time_k} is later than t = {t}")
         if spread and age <= m:
             table.setdefault(c_k, []).append((1 << k, _lane_row(m, mp, tol, age, spread)))
     return table
@@ -198,26 +192,24 @@ def _step_masks(
     table: EventTable,
     results: Dict[TreeNode, int],
     min_len: int,
-    min_den: int,
 ) -> None:
     """Record in `results` every candidate node below `groups` (inhibitory,
-    or at least `min_len` deep with a denominator of at least `min_den`)
-    with a bitmask of the steps n where its full path-subsequence matches
-    the window at t + n, in every lane of `mask`, using no event of `used`;
-    `table` is the context's _event_table. Nodes are recorded in the order
-    the walk first reaches them. A child that is neither a candidate nor has
-    children of its own is not matched at all, and a matched leaf is not
-    descended into. The walk is a module-level function taking its state as
-    arguments: a nested recursive function refers to itself through its
-    closure, a reference cycle per call that only the cyclic garbage
-    collector frees."""
+    or counted and at least `min_len` deep) with a bitmask of the steps n
+    where its full path-subsequence matches the window at t + n, in every
+    lane of `mask`, using no event of `used`; `table` is the context's
+    _event_table. Nodes are recorded in the order the walk first reaches
+    them. A child that is neither a candidate nor has children of its own
+    is not matched at all, and a matched leaf is not descended into. The
+    walk is a module-level function taking its state as arguments: a nested
+    recursive function refers to itself through its closure, a reference
+    cycle per call that only the cyclic garbage collector frees."""
     for c, occurrences in table.items():
         children = groups.get(c)
         if children is None:
             continue
         for child in children:
             keep = child.inhibitory is not None or (
-                child.depth >= min_len and child.denominator >= min_den
+                child.depth >= min_len and child.denominator > 0
             )
             deeper = child.by_channel
             if not (keep or deeper):
@@ -232,7 +224,7 @@ def _step_masks(
                 if keep:
                     results[child] = results.get(child, 0) | seg
                 if deeper:
-                    _step_masks(deeper, seg, used | bit, table, results, min_len, min_den)
+                    _step_masks(deeper, seg, used | bit, table, results, min_len)
 
 
 def _rank_key(node: TreeNode):
@@ -274,7 +266,7 @@ def predict_from_context(
     full = lane_mask * sum(1 << r * w for r in range(len(lanes)))
     matrix = PredictionMatrix(trigger_time=t, steps=steps)
     table = _event_table(events, spreads, t, p.history_window, steps, p.matching_interval)
-    min_len, min_den = p.min_subseq_len, max(p.frequency_threshold, 1)
+    min_len = p.min_subseq_len
     for tree in trees:
         # no level-1 node, inhibitory or not, is a candidate when
         # min_subseq_len >= 2, so the walk starts from the branching ones
@@ -282,7 +274,7 @@ def predict_from_context(
         if first.keys().isdisjoint(table):
             continue
         matches: Dict[TreeNode, int] = {}
-        _step_masks(first, full, 0, table, matches, min_len, min_den)
+        _step_masks(first, full, 0, table, matches, min_len)
         if not matches:
             continue
         ranked = []

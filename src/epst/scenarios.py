@@ -142,6 +142,13 @@ def _probability(raw: str) -> float:
     return p
 
 
+def _name(raw: str) -> str:
+    """A scenario id, which artifact file names embed."""
+    if not raw or "/" in raw or "\\" in raw:
+        raise _OutOfRange("a non-empty name with no path separator")
+    return raw
+
+
 def _scoring_mode(raw: str) -> str:
     if raw not in SCORED_LABELS:
         raise ValueError
@@ -195,7 +202,7 @@ def _parse_scenario(text: str, source: str) -> ScenarioScript:
             raise ValueError(
                 f"{source}: [{section}]: unknown section; known: {', '.join(_SECTIONS)}"
             )
-    value("scenario", "id", "scenario_id", str, required=True)
+    value("scenario", "id", "scenario_id", _name, required=True)
     value("scenario", "num_channels", parse=_at_least(1))
     # the base signal needs at least one whole cycle
     value("scenario", "total_events", parse=_at_least(datagen.CYCLE_LENGTH))

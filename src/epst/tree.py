@@ -39,7 +39,6 @@ class EpstParams:
     min_subseq_len: int = 2
     max_subseq_len: int = 4
     branch_extension_threshold: int = 1
-    frequency_threshold: int = 0
     matching_interval: int = 0        # tol
 
     def __post_init__(self):

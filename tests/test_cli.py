@@ -233,6 +233,8 @@ def test_main_empty_or_repeated_algorithm_list_is_usage_error(
         ("history_windw", ["--epst.history_windw", "16"]),
         # M (--epst.history_window) alone bounds delays and gaps
         ("max_spike_interval", ["--epst.max_spike_interval", "16"]),
+        # a pattern counted once predicts
+        ("frequency_threshold", ["--epst.frequency_threshold", "2"]),
     ],
 )
 def test_main_bad_tree_parameter_is_usage_error(tmp_path, tiny_cfg, capsys, name, extra):
@@ -275,8 +277,10 @@ def test_main_non_integer_tree_parameter_is_usage_error(tmp_path, tiny_cfg, caps
              f.name for f in dataclasses.fields(EpstParams))),
         (TINY_SCENARIO + "\n[epst]\nmax_spike_interval = 16\n",
          "[epst] max_spike_interval", "unknown key; known: history_window, prediction_window, "
-         "min_subseq_len, max_subseq_len, branch_extension_threshold, frequency_threshold, "
-         "matching_interval"),
+         "min_subseq_len, max_subseq_len, branch_extension_threshold, matching_interval"),
+        (TINY_SCENARIO + "\n[epst]\nfrequency_threshold = 2\n",
+         "[epst] frequency_threshold", "unknown key; known: history_window, prediction_window, "
+         "min_subseq_len, max_subseq_len, branch_extension_threshold, matching_interval"),
         (TINY_SCENARIO + "\n[epst]\nmin_subseq_len = 9\n",
          "[epst] min_subseq_len", "must be <= max_subseq_len"),
         (TINY_SCENARIO + "\n[noise]\nintervals = 100-abc\n",
@@ -286,6 +290,13 @@ def test_main_non_integer_tree_parameter_is_usage_error(tmp_path, tiny_cfg, caps
          "expected one of structured, random_noise, jitter, jitter_dropout, got 'banana'"),
         (TINY_SCENARIO.replace("[scenario]", "[scenari]"), "[scenario]", "missing section"),
         (TINY_SCENARIO.replace("id = tiny\n", ""), "[scenario] id", "missing"),
+        # artifact file names embed the id
+        (TINY_SCENARIO.replace("id = tiny", "id = a/b"), "[scenario] id",
+         "must be a non-empty name with no path separator, got 'a/b'"),
+        (TINY_SCENARIO.replace("id = tiny", "id = a\\b"), "[scenario] id",
+         "must be a non-empty name with no path separator, got 'a\\\\b'"),
+        (TINY_SCENARIO.replace("id = tiny", "id ="), "[scenario] id",
+         "must be a non-empty name with no path separator, got ''"),
         (TINY_SCENARIO + "\n[noise]\n", "[noise] intervals", "missing"),
         (TINY_SCENARIO + "\n[interference]\nintervals = 100-200\npattern_seed_offsets = 1,2\n",
          "[interference] pattern_seed_offsets", "expected 1, one per interval, got 2"),

@@ -15,9 +15,7 @@ from epst.tree import EpstParams, EpstTree, learn_stream
 
 
 def xor_params():
-    return EpstParams(
-        branch_extension_threshold=0, frequency_threshold=0, min_subseq_len=1
-    )
+    return EpstParams(branch_extension_threshold=0, min_subseq_len=1)
 
 
 def trained_xor_tree():

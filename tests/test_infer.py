@@ -16,8 +16,8 @@ from epst.extensions import VARIANTS, record_false_positive
 from epst.infer import (
     Candidate,
     PredictionMatrix,
+    _lane_row,
     _rank_key,
-    _step_rows,
     candidate_from_node,
     context_events,
     entropy,
@@ -64,26 +64,20 @@ def test_entropy_bounds(num, den):
 # representative selection
 
 
-def cand(sub_items, num, den, inhibitory=False):
-    if inhibitory:
-        return Candidate(sub_items, 0, 1, True)
-    return Candidate(sub_items, num, den)
-
-
 def test_select_lowest_entropy_wins():
-    a = cand(((3, 0),), 1, 2)   # H = ln 2
-    b = cand(((5, 1),), 9, 10)  # lower entropy
+    a = Candidate(((3, 0),), 1, 2)   # H = ln 2
+    b = Candidate(((5, 1),), 9, 10)  # lower entropy
     assert min([a, b], key=Candidate.rank_key) is b
 
 
 def test_select_tie_breaks():
     # equal entropy 0: longer subsequence wins
-    short = cand(((3, 0),), 4, 4)
-    long = cand(((3, 0), (5, 1)), 2, 2)
+    short = Candidate(((3, 0),), 4, 4)
+    long = Candidate(((3, 0), (5, 1)), 2, 2)
     assert min([short, long], key=Candidate.rank_key) is long
     # equal entropy and length: higher denominator wins
-    weak = cand(((3, 0),), 2, 2)
-    strong = cand(((4, 1),), 9, 9)
+    weak = Candidate(((3, 0),), 2, 2)
+    strong = Candidate(((4, 1),), 9, 9)
     assert min([weak, strong], key=Candidate.rank_key) is strong
 
 
@@ -123,9 +117,8 @@ def interval_mask(d, age, m, mp, tol):
 @pytest.mark.parametrize("m,mp", [(16, 12), (10, 12), (32, 28)])
 def test_step_rows_match_interval_formula(m, mp, tol):
     # a row covers the delays a tree can store, 0..M
-    rows = _step_rows(m, mp, tol)
-    assert len(rows) == m + 1
-    for age, row in enumerate(rows):
+    for age in range(m + 1):
+        row = _lane_row(m, mp, tol, age, 1)
         assert len(row) == m + 1
         for d in range(m + 1):
             assert row[d] == interval_mask(d, age, m, mp, tol)
@@ -215,9 +208,7 @@ def naive_matrix(trees, events, t):
             best = None
             for node in tree.iter_nodes():
                 if not node.is_inhibitory:
-                    if node.depth < p.min_subseq_len:
-                        continue
-                    if node.denominator < max(p.frequency_threshold, 1):
+                    if node.depth < p.min_subseq_len or node.denominator < 1:
                         continue
                 if not _injective_match(node.path, entries, p.matching_interval):
                     continue
@@ -278,9 +269,8 @@ def test_prediction_matches_naive_oracle_property(seed):
 
 
 @pytest.mark.parametrize("tol", [0, 2])
-@pytest.mark.parametrize("frequency_threshold", [0, 2])
 @pytest.mark.parametrize("min_len", [1, 2, 3])
-def test_prediction_with_inhibitory_matches_naive_oracle(min_len, frequency_threshold, tol):
+def test_prediction_with_inhibitory_matches_naive_oracle(min_len, tol):
     # the walk records only candidate nodes and skips leaves; inhibitory
     # patterns (zero counts, hung below bare structural nodes) must still
     # be found at every step they match
@@ -289,7 +279,6 @@ def test_prediction_with_inhibitory_matches_naive_oracle(min_len, frequency_thre
         prediction_window=10,
         min_subseq_len=min_len,
         max_subseq_len=3,
-        frequency_threshold=frequency_threshold,
         matching_interval=tol,
     )
     stream = random_stream(20 + min_len, 60, 3)
@@ -320,6 +309,17 @@ def test_zero_probability_winner_stores_no_cell():
     # b and c both match at step 0 only, and b outranks c there
     matrix = assert_matches_oracle([tree], [(14, 2), (15, 2), (17, 1)], 20)
     assert matrix.estimates == {} and matrix.chosen == {}
+
+
+def test_context_event_later_than_t_is_an_error():
+    tree = EpstTree(0, EpstParams(branch_extension_threshold=0, min_subseq_len=1))
+    tree.step2_numerators_and_extend(HistoryWindow(frozenset({(10, 1)})))
+    assert predict_from_context([tree], [(95, 1)], 100).cells == ((5, 0, 1.0),)
+    # an event at t itself has age 0 and is context
+    assert predict_from_context([tree], [(100, 1)], 100).cells == ((10, 0, 1.0),)
+    # age -30 must not be read as an old event
+    with pytest.raises(ValueError, match=r"time 130 is later than t = 100"):
+        predict_from_context([tree], [(130, 1)], 100)
 
 
 def test_fresh_trees_predict_all_zero():
