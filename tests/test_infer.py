@@ -269,16 +269,19 @@ def test_prediction_matches_naive_oracle_property(seed):
 
 
 @pytest.mark.parametrize("tol", [0, 2])
+@pytest.mark.parametrize("extension_threshold", [0, 2])
 @pytest.mark.parametrize("min_len", [1, 2, 3])
-def test_prediction_with_inhibitory_matches_naive_oracle(min_len, tol):
+def test_prediction_with_inhibitory_matches_naive_oracle(min_len, extension_threshold, tol):
     # the walk records only candidate nodes and skips leaves; inhibitory
     # patterns (zero counts, hung below bare structural nodes) must still
-    # be found at every step they match
+    # be found at every step they match, whether every matched node grows
+    # children or only those whose numerator exceeds 2
     p = EpstParams(
         history_window=12,
         prediction_window=10,
         min_subseq_len=min_len,
         max_subseq_len=3,
+        branch_extension_threshold=extension_threshold,
         matching_interval=tol,
     )
     stream = random_stream(20 + min_len, 60, 3)
