@@ -115,7 +115,7 @@ def interval_mask(d, age, m, mp, tol):
 
 @pytest.mark.parametrize("tol", [0, 2])
 @pytest.mark.parametrize("m,mp", [(16, 12), (10, 12), (32, 28)])
-def test_step_rows_match_interval_formula(m, mp, tol):
+def test_lane_row_matches_interval_formula(m, mp, tol):
     # a row covers the delays a tree can store, 0..M
     for age in range(m + 1):
         row = _lane_row(m, mp, tol, age, 1)
@@ -269,13 +269,13 @@ def test_prediction_matches_naive_oracle_property(seed):
 
 
 @pytest.mark.parametrize("tol", [0, 2])
-@pytest.mark.parametrize("extension_threshold", [0, 2])
+@pytest.mark.parametrize("extension_threshold", [1, 0, 2])
 @pytest.mark.parametrize("min_len", [1, 2, 3])
 def test_prediction_with_inhibitory_matches_naive_oracle(min_len, extension_threshold, tol):
     # the walk records only candidate nodes and skips leaves; inhibitory
     # patterns (zero counts, hung below bare structural nodes) must still
-    # be found at every step they match, whether every matched node grows
-    # children or only those whose numerator exceeds 2
+    # be found at every step they match, at the default extension threshold
+    # (1), where every matched node grows children (0) and a sparser one (2)
     p = EpstParams(
         history_window=12,
         prediction_window=10,
