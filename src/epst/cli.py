@@ -1,9 +1,10 @@
 """Command line experiment runner.
 
 `epst-bench run` drives one benchmark scenario for a set of algorithms and
-seeds, writing aggregated error-trace CSVs, false-positive CSVs (for the
-extension-threshold-0 scenario), an SVG overlay chart, and optionally the
-final tree snapshots. Its settings come from two places only: the flags,
+seeds, writing aggregated error-trace CSVs, false-positive CSVs and their
+chart (for EPST variants when the effective branch extension threshold is
+0, as in `structured_et0`), an SVG overlay chart, and optionally the final
+tree snapshots. Its settings come from two places only: the flags,
 and the scenario (built-in or `--scenario-file`), whose `[epst]` section
 sets the tree parameters that `--epst.<field>` flags override.
 `epst-bench verify` executes the acceptance checks and prints a pass/fail
@@ -31,6 +32,7 @@ from .evaluation import (
     sum_counts,
 )
 from .scenarios import ALGORITHMS, SCENARIO_IDS, ScenarioScript, load_scenario, load_scenario_file
+from .scenarios import SCENARIO_ID_RULE, is_scenario_id
 from .svg import fp_chart, trace_chart
 from .tree import EpstParams
 
@@ -54,6 +56,11 @@ class ExperimentConfig:
     params: EpstParams = dataclasses.field(init=False)
 
     def __post_init__(self):
+        # artifact file names embed the id; a scenario file checks it when
+        # loaded, a ScenarioScript built in code is checked here
+        sid = self.scenario.scenario_id
+        if not is_scenario_id(sid):
+            raise ValueError(f"scenario id must be {SCENARIO_ID_RULE}, got {sid!r}")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
         if not self.algorithms:
@@ -79,7 +86,9 @@ def _run_one(config: ExperimentConfig, algo: str, seed: int):
     trace, run = scenario.score(algo, stream, config.params)
     fp = dump = None
     if run is not None:
-        if scenario.scenario_id == "structured_et0":
+        # one-shot learning (extension threshold 0) is the regime whose
+        # false positives are analysed, whatever the scenario is called
+        if config.params.branch_extension_threshold == 0:
             fp = count_false_positives(run, stream, bin_width=scenario.bin_width)
         # the dump written is the last seed's
         if config.dump_tree and seed == config.seeds - 1:

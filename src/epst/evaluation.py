@@ -12,14 +12,18 @@ cells are masked, and how the summation window is padded/shifted (jitter).
 Scoring computes the same sums without visiting every (step, channel)
 cell: for steps before the scored event it walks the nonzero cells of the
 triggers that are latest for those steps (`EpstRunResult.cells_between`),
-in (step, channel) order, so every float sum is bit-identical; only the
+in (step, channel) order, so every float sum is bit-identical. Only the
 pad + 1 steps at or after the event, where the before cap makes an earlier
-trigger's grid apply, are looked up cell by cell. False-positive counting
-is one pass over the same nonzero cells.
+trigger's grid apply, are looked up cell by cell: every one of those steps
+reads the same trigger, the last one before the event, so only the
+channels with a row in that trigger's matrix are looked up (any other
+channel reads exactly 0). False-positive counting is one pass over the same
+nonzero cells.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -131,7 +135,10 @@ def _window_probability(
     allowed: Optional[Set[Cell]] = None,
 ) -> float:
     """next_event_probability(run.latest_estimate, ...), summed from the
-    triggers' nonzero cells."""
+    triggers' nonzero cells. Every step at or after ceil(before_time)
+    reads the last trigger before `before_time`, so those steps look up
+    only the channels with a row in that trigger's matrix, in ascending
+    order; a channel without a row would add exactly 0."""
 
     def counted(c: int, step: int) -> bool:
         return (c, step) not in masks and (allowed is None or (c, step) in allowed)
@@ -144,8 +151,11 @@ def _window_probability(
             den += v
             if c == channel:
                 num += v
+    # the one trigger every later step reads; none before the first trigger
+    idx = bisect.bisect_left(run.trigger_times, before_time) - 1
+    rows = sorted(c for c in run.matrices[idx].estimates if c < num_channels) if idx >= 0 else []
     for step in range(max(t_lo + 1, capped), t_hi + 1):
-        for c in range(num_channels):
+        for c in rows:
             if counted(c, step):
                 v = run.latest_estimate(c, step, before_time)
                 den += v

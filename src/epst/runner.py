@@ -158,8 +158,7 @@ def run_vmm(stream: EventStream, kind: str) -> VmmRunResult:
     ordered = sorted(stream.events, key=lambda e: (e.time, e.channel))
     probs: List[Optional[float]] = []
     for e in ordered:
-        dist = model.predict()
-        probs.append(None if dist is None else float(dist[e.channel]))
+        probs.append(model.probability(e.channel))
         if e.label != LABEL_DROPPED:
             model.update(e.channel)
     return VmmRunResult(tuple(ordered), probs)

@@ -142,10 +142,17 @@ def _probability(raw: str) -> float:
     return p
 
 
+SCENARIO_ID_RULE = "a non-empty name with no path separator"
+
+
+def is_scenario_id(name: str) -> bool:
+    """Whether `name` can be a scenario id, which artifact file names embed."""
+    return bool(name) and "/" not in name and "\\" not in name
+
+
 def _name(raw: str) -> str:
-    """A scenario id, which artifact file names embed."""
-    if not raw or "/" in raw or "\\" in raw:
-        raise _OutOfRange("a non-empty name with no path separator")
+    if not is_scenario_id(raw):
+        raise _OutOfRange(SCENARIO_ID_RULE)
     return raw
 
 

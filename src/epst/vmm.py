@@ -2,12 +2,14 @@
 
 Both see the stream as a sequence of channel ids in event-time order,
 simultaneous events by ascending channel, with dropped events left out;
-`runner.run_vmm` feeds them. PPM-C blends context statistics from the
-longest matched context down to an order -1 uniform using escape method C
-(no exclusion). The PST baseline answers only from the longest matched
-context and declines to estimate when that context was seen fewer than
-`min_frequency` times; declining is scored as maximum error by the
-harness.
+`runner.run_vmm` feeds them and reads one symbol's probability per event
+(`VmmModel.probability`). PPM-C blends context statistics from the longest
+matched context down to an order -1 uniform using escape method C (no
+exclusion); `probability` is its one formula, computed for the scored
+symbol alone, and the full distribution is that formula over every symbol.
+The PST baseline answers only from the longest matched context and
+declines to estimate when that context was seen fewer than `min_frequency`
+times; declining is scored as maximum error by the harness.
 """
 
 from __future__ import annotations
@@ -44,29 +46,32 @@ class VmmModel:
         if len(h) > self.max_order:
             del h[: len(h) - self.max_order]
 
-    def predict(self) -> Optional[np.ndarray]:
-        """Distribution over the symbol after the history, or None for the
-        PST's no-estimate case."""
+    def probability(self, symbol: int) -> Optional[float]:
+        """Probability of `symbol` after the history, or None for the PST's
+        no-estimate case. For PPM-C this is the one formula: each matched
+        context, longest first, adds its escape-weighted share of `symbol`,
+        and the order -1 uniform takes the weight left over."""
         ctx = tuple(self.history)
-        if self.kind == "ppmc":
-            return self._ppmc(ctx)
-        return self._pst(ctx)
-
-    def _ppmc(self, ctx: Tuple[int, ...]) -> np.ndarray:
-        out = np.zeros(self.num_channels)
+        if self.kind == "pst":
+            dist = self._pst(ctx)
+            return None if dist is None else float(dist[symbol])
+        p = 0.0
         weight = 1.0
         for k in range(len(ctx), -1, -1):
             table = self.counts.get(ctx[len(ctx) - k:])
             if not table:
                 continue
-            total = sum(table.values())
-            distinct = len(table)
-            denom = total + distinct
-            for sym, cnt in table.items():
-                out[sym] += weight * cnt / denom
-            weight *= distinct / denom
-        out += weight / self.num_channels
-        return out
+            denom = sum(table.values()) + len(table)
+            p += weight * table.get(symbol, 0) / denom
+            weight *= len(table) / denom
+        return p + weight / self.num_channels
+
+    def predict(self) -> Optional[np.ndarray]:
+        """Distribution over the symbol after the history, or None for the
+        PST's no-estimate case."""
+        if self.kind == "ppmc":
+            return np.array([self.probability(s) for s in range(self.num_channels)])
+        return self._pst(tuple(self.history))
 
     def _pst(self, ctx: Tuple[int, ...]) -> Optional[np.ndarray]:
         for k in range(len(ctx), -1, -1):

@@ -3,12 +3,13 @@
 import codecs
 import dataclasses
 import os
+from importlib import resources
 
 import pytest
 
 from epst import acceptance, cli
 from epst.cli import ExperimentConfig, main, run_experiment
-from epst.scenarios import SCENARIO_IDS, load_scenario, load_scenario_file
+from epst.scenarios import SCENARIO_IDS, ScenarioScript, load_scenario, load_scenario_file
 from epst.tree import EpstParams
 
 TINY_SCENARIO = """\
@@ -147,6 +148,34 @@ def test_config_validation(tiny_cfg):
         ExperimentConfig(script, ("epst",), 0, "out")
     with pytest.raises(ValueError):
         ExperimentConfig(script, ("magic",), 1, "out")
+
+
+@pytest.mark.parametrize("sid", ["a/b", "a\\b", ""])
+def test_config_rejects_a_scenario_id_no_file_name_can_hold(tmp_path, sid):
+    # a ScenarioScript built in code, not loaded from a file
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="scenario id must be a non-empty name"):
+        ExperimentConfig(ScenarioScript(sid, total_events=60), ("epst",), 1, str(out))
+    assert not out.exists()  # no job ran
+
+
+@pytest.mark.parametrize(
+    "scenario, fp_files",
+    [
+        # a renamed copy of structured_et0.cfg: extension threshold 0
+        (["--scenario-file", "my_et0.cfg"], ["chart_my_et0_fp.svg", "fp_my_et0_epst_i.csv"]),
+        (["--scenario", "structured_same"], []),
+    ],
+)
+def test_false_positive_artifacts_follow_the_extension_threshold(
+    tmp_path, monkeypatch, capsys, scenario, fp_files
+):
+    text = resources.files("epst.scenario_configs").joinpath("structured_et0.cfg").read_text()
+    (tmp_path / "my_et0.cfg").write_text(text.replace("id = structured_et0", "id = my_et0"))
+    monkeypatch.chdir(tmp_path)
+    code = run_main(["run", *scenario, "--algos", "epst_i", "--seeds", "1", "--out", "out"])
+    assert code == 0
+    assert sorted(n for n in os.listdir("out") if "fp" in n) == fp_files
 
 
 def test_workers_capped_at_cpu_count(tiny_cfg):

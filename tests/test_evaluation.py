@@ -371,6 +371,41 @@ def test_cell_walk_matches_per_cell_on_a_real_run(monkeypatch):
     assert counts == per_cell_false_positives(run, stream)
 
 
+def test_before_capped_tail_looks_up_only_the_rows_of_its_trigger(monkeypatch):
+    """Ten channels, but each trigger holds rows for three of them: the
+    pad + 1 before-capped steps of a pad-shifted window, with every cell
+    counted, look up at most those three channels each, and the window's
+    probability still matches the per-cell definition."""
+    pad, rows, num_channels = 4, 3, 10
+    rng = np.random.default_rng(7)
+    times = list(range(10, 130, 8))
+    matrices = []
+    for t in times:
+        channels = rng.choice(num_channels, size=rows, replace=False)
+        estimates = {int(c): [float(v) for v in rng.random(13)] for c in channels}
+        matrices.append(PredictionMatrix(t, 12, estimates))
+    run = EpstRunResult(times, matrices, [])
+
+    lookups = [0]
+    latest_estimate = EpstRunResult.latest_estimate
+
+    def counted(self, *args):
+        lookups[0] += 1
+        return latest_estimate(self, *args)
+
+    for t_prev, t in zip(times, times[1:]):
+        args = (num_channels, int(rng.integers(num_channels)), t_prev + pad, t + pad, t)
+        with monkeypatch.context() as m:
+            m.setattr(EpstRunResult, "latest_estimate", counted)
+            lookups[0] = 0
+            p = _window_probability(run, *args)
+        assert 0 < lookups[0] <= (pad + 1) * rows
+        assert p == per_cell_probability(run, *args)
+
+    events = tuple(Event(t, int(rng.integers(num_channels))) for t in times)
+    assert_scoring_matches_per_cell(run, EventStream(events, num_channels), monkeypatch, 10)
+
+
 # ---------------------------------------------------------------------------
 # one run scored by a scenario's rule
 

@@ -143,3 +143,43 @@ def test_run_vmm_skips_dropped_updates():
     # the dropped event is still scored but never consumed, so the
     # probability assigned to the following event matches the drop-free run
     assert ra.probabilities[-1] == rb.probabilities[-1]
+
+
+def ppmc_reference(model):
+    """PPM-C as a numpy blend over the whole alphabet: every matched
+    context, longest first, adds its escape-weighted counts to the array,
+    then the order -1 uniform adds the weight left over to every entry."""
+    ctx = tuple(model.history)
+    out = np.zeros(model.num_channels)
+    weight = 1.0
+    for k in range(len(ctx), -1, -1):
+        table = model.counts.get(ctx[len(ctx) - k:])
+        if not table:
+            continue
+        denom = sum(table.values()) + len(table)
+        for sym, cnt in table.items():
+            out[sym] += weight * cnt / denom
+        weight *= len(table) / denom
+    out += weight / model.num_channels
+    return out
+
+
+@given(
+    st.sampled_from(["ppmc", "pst"]),
+    st.lists(st.integers(0, 4), min_size=0, max_size=60),
+    st.integers(1, 5),
+)
+@settings(max_examples=150, deadline=None)
+def test_probability_is_the_predicted_entry(kind, symbols, order):
+    model = VmmModel(kind, 5, max_order=order)
+    for s in symbols:
+        model.update(s)
+        dist = model.predict()
+        if kind == "ppmc":
+            assert dist.tolist() == ppmc_reference(model).tolist()  # bit for bit
+        for symbol in range(5):
+            p = model.probability(symbol)
+            if dist is None:
+                assert p is None
+            else:
+                assert type(p) is float and p == float(dist[symbol])
