@@ -17,7 +17,7 @@ import io
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 LABEL_SIGNAL = "signal"
 LABEL_INTERFERENCE = "interference"
@@ -114,6 +114,15 @@ class HistoryWindow:
         object.__setattr__(self, "entries", entries)
         if entries and entries[0][0] < 1:
             raise ValueError(f"delay {entries[0][0]} is below 1")
+
+    @cached_property
+    def occupancy(self) -> Dict[int, int]:
+        """Channel -> bitmask of its delays (bit wd for the entry (wd,
+        channel)), as the tree's matcher reads it. Built on first use."""
+        occ: Dict[int, int] = {}
+        for wd, wc in self.entries:
+            occ[wc] = occ.get(wc, 0) | 1 << wd
+        return occ
 
 
 # a subsequence is a non-empty tuple of items in canonical order

@@ -110,7 +110,7 @@ def prune_entropy(tree: EpstTree) -> int:
 def _prune_below(tree: EpstTree, node: TreeNode) -> bool:
     """prune_entropy's walk: detach every child of `node` that does not
     survive, each once its own children are gone. Returns True if `node`
-    survives. Module level, like `infer._step_masks`, so a call leaves no
+    survives. Module level, like `tree.match_occupancy`, so a call leaves no
     reference cycle."""
     survivors = False
     for key in sorted(node.children):

@@ -7,25 +7,24 @@ t + n (built only from events at or before t), the one with the lowest
 count-based entropy wins; matched inhibitory patterns contribute a
 probability of exactly zero.
 
-Matching for all steps of one trigger is done in a single tree walk:
-an item (d, c) of a stored pattern matches an event with age a = t - t_k
-at step n iff |n + a - d| <= tol, so each (item, event) pair contributes
-a contiguous interval of steps, tracked as a bitmask during the walk. The
-masks come from one step table (`_lane_row`), a row per (M, M', tol,
-age, lane spread), indexed by d. Matched nodes are ranked as plain tuples;
+Matching for all steps of one trigger is one walk, `tree.match_occupancy`.
+An item (d, c) of a stored pattern matches an event of age a = t - t_k at
+step n iff |n + a - d| <= tol and 1 <= n + a <= M. The context is one int
+per channel, its occupancy: an event of age a <= M sets bit M' + a, and a
+step mask holds step n at bit M' - n, so the occupancy shifted right by d
+holds at step n the events with n + a = d. A channel's events are bits of
+one int, so a duplicated (time, channel) event is one bit, and there is no
+used-event mask. Matched nodes are ranked as plain tuples;
 only a node that wins a nonzero cell becomes a `Candidate`, and the
 prediction matrix stores only rows with a nonzero cell.
 
-Downsampled prediction shares that one walk among its R repeats. The step
-mask holds R lanes of W = M' + 1 bits; lane r is bits [r*W, (r+1)*W) and
-matches repeat r's events only. An event's step row is multiplied by its
-spread, the sum of 2^(r*W) over its lanes; every entry is below 2^W, so
-the product copies the row into each lane without carries. The walk's
-used-event mask is shared, and a path's events are the same in each lane,
-so each lane sees exactly its repeat's own walk. A cell is the maximum
-over lanes, a tie keeps the lower lane's `chosen` Candidate, and an
-inhibitory node reports its step mask from the lowest lane it matched in.
-The full context is the one-lane case.
+Downsampled prediction shares that one walk among its R repeats: lane r
+holds repeat r's events at bits r*B + M' + a and its steps at bits
+r*B .. r*B + M', with stride B = M + M' + 1, so a shift by d <= M moves no
+bit of lane r + 1 into lane r's steps, and each lane sees exactly its
+repeat's own walk. A cell is the maximum over lanes, a tie keeps the lower
+lane's `chosen` Candidate, and an inhibitory node reports its step mask
+from the lowest lane it matched in. The full context is the one-lane case.
 """
 
 from __future__ import annotations
@@ -33,12 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .events import EventStream, Subsequence, sort_key
-from .tree import EpstTree, TreeNode
+from .tree import EpstTree, TreeNode, match_tolerance, match_occupancy
 
 
 def estimate_probability(numerator: int, denominator: int) -> float:
@@ -146,87 +145,6 @@ class PredictionMatrix:
         ))
 
 
-EventTable = Dict[int, List[Tuple[int, Tuple[int, ...]]]]
-
-
-@lru_cache(maxsize=1 << 12)
-def _lane_row(m: int, mp: int, tol: int, age: int, spread: int) -> Tuple[int, ...]:
-    """For an event of age a = t - t_k in 0..M, the step masks indexed by
-    cumulative delay d in 0..M, the delays a tree can store, since it
-    refuses a window entry older than M: bit n is set iff an item with
-    delay d matches the event in the window at t + n, i.e. |n + a - d| <=
-    tol with the event inside that window (1 <= n + a <= M) and
-    0 <= n <= M'. Each mask is multiplied by `spread`, which copies it into
-    every lane the spread holds (module docstring)."""
-    floor, cap = max(1 - age, 0), min(m - age, mp)
-    row = []
-    for d in range(m + 1):
-        lo, hi = max(d - age - tol, floor), min(d - age + tol, cap)
-        row.append((((1 << (hi - lo + 1)) - 1) << lo) * spread if lo <= hi else 0)
-    return tuple(row)
-
-
-def _event_table(
-    events: Sequence[Tuple[int, int]], spreads: Sequence[int], t: int, m: int, mp: int, tol: int
-) -> EventTable:
-    """The context at t grouped by channel, in event order. Each event
-    becomes (bit, row): its bit in the walk's used-event mask and its
-    _lane_row row for its age and lane spread, so an item with cumulative
-    delay d matches it at the steps `row[d]` of each of its lanes. An event
-    in no lane (spread 0), or older than M, matches at no step and is left
-    out. An event later than t is not context: ValueError."""
-    table: EventTable = {}
-    for k, ((time_k, c_k), spread) in enumerate(zip(events, spreads)):
-        age = t - time_k
-        if age < 0:
-            raise ValueError(f"context event at time {time_k} is later than t = {t}")
-        if spread and age <= m:
-            table.setdefault(c_k, []).append((1 << k, _lane_row(m, mp, tol, age, spread)))
-    return table
-
-
-def _step_masks(
-    groups: Mapping[int, List[TreeNode]],
-    mask: int,
-    used: int,
-    table: EventTable,
-    results: Dict[TreeNode, int],
-    min_len: int,
-) -> None:
-    """Record in `results` every candidate node below `groups` (inhibitory,
-    or counted and at least `min_len` deep) with a bitmask of the steps n
-    where its full path-subsequence matches the window at t + n, in every
-    lane of `mask`, using no event of `used`; `table` is the context's
-    _event_table. Nodes are recorded in the order the walk first reaches
-    them. A child that is neither a candidate nor has children of its own
-    is not matched at all, and a matched leaf is not descended into. The
-    walk is a module-level function taking its state as arguments: a nested
-    recursive function refers to itself through its closure, a reference
-    cycle per call that only the cyclic garbage collector frees."""
-    for c, occurrences in table.items():
-        children = groups.get(c)
-        if children is None:
-            continue
-        for child in children:
-            keep = child.inhibitory is not None or (
-                child.depth >= min_len and child.denominator > 0
-            )
-            deeper = child.by_channel
-            if not (keep or deeper):
-                continue
-            d = child.cum_delay
-            for bit, row in occurrences:
-                if used & bit:
-                    continue
-                seg = mask & row[d]
-                if not seg:
-                    continue
-                if keep:
-                    results[child] = results.get(child, 0) | seg
-                if deeper:
-                    _step_masks(deeper, seg, used | bit, table, results, min_len)
-
-
 def _rank_key(node: TreeNode):
     """`candidate_from_node(node).rank_key()`, without building the
     Candidate. Sort keys differ between the nodes of one tree, so ranking
@@ -248,41 +166,51 @@ def predict_from_context(
     matched against the stored patterns and the representative's
     probability is written to the cell (0 when nothing matches). The trees
     share one parameter set (one tree per channel, as `learn_step`
-    assumes), so one event table serves them all. `lanes` holds the event
+    assumes), so one occupancy serves them all. `lanes` holds the event
     indices of each repeat (default: one lane of all events), merged as the
-    module docstring says. A Candidate is built only for a node that wins a
-    nonzero cell, and a row only when it has one; a tree whose level-1
-    groups share no channel with the context is not walked."""
+    module docstring says. An event later than t is not context:
+    ValueError. A Candidate is built only for a node that wins a nonzero
+    cell, and a row only when it has one; a tree whose level-1 groups share
+    no channel with the context is not walked."""
     p = trees[0].params
-    steps = p.prediction_window
-    w = steps + 1
+    m, steps = p.history_window, p.prediction_window
+    w, stride = steps + 1, m + steps + 1
     lane_mask = (1 << w) - 1
     if lanes is None:
         lanes = [range(len(events))]
     spreads = [0] * len(events)
     for r, idx in enumerate(lanes):
         for k in idx:
-            spreads[k] |= 1 << r * w
-    full = lane_mask * sum(1 << r * w for r in range(len(lanes)))
+            spreads[k] |= 1 << r * stride
+    occ: Dict[int, int] = {}
+    for (time_k, c_k), spread in zip(events, spreads):
+        age = t - time_k
+        if age < 0:
+            raise ValueError(f"context event at time {time_k} is later than t = {t}")
+        if spread and age <= m:
+            occ[c_k] = occ.get(c_k, 0) | spread << steps + age
+    full = lane_mask * sum(1 << r * stride for r in range(len(lanes)))
+    tolerance = match_tolerance(p)   # shared: its ORs are the occupancy's
     matrix = PredictionMatrix(trigger_time=t, steps=steps)
-    table = _event_table(events, spreads, t, p.history_window, steps, p.matching_interval)
     min_len = p.min_subseq_len
     for tree in trees:
         # no level-1 node, inhibitory or not, is a candidate when
         # min_subseq_len >= 2, so the walk starts from the branching ones
         first = tree.branching if min_len > 1 else tree.root.by_channel
-        if first.keys().isdisjoint(table):
+        if first.keys().isdisjoint(occ):
             continue
         matches: Dict[TreeNode, int] = {}
-        _step_masks(first, full, 0, table, matches, min_len)
+        match_occupancy(first, full, occ, 0, tolerance, matches, min_len, 1)
         if not matches:
             continue
         ranked = []
         inhib: List[Tuple[TreeNode, int]] = []
         for node, mask in matches.items():
             if node.inhibitory is not None:
-                lowest = ((mask & -mask).bit_length() - 1) // w * w
-                inhib.append((node, mask >> lowest & lane_mask))
+                lowest = ((mask & -mask).bit_length() - 1) // stride * stride
+                # a lane holds step n at bit M' - n, inhibitory_hits at bit n
+                lane = format(mask >> lowest & lane_mask, f"0{w}b")
+                inhib.append((node, int(lane[::-1], 2)))
             ranked.append((_rank_key(node), node, mask))
         ranked.sort()
         row = bit_of = None
@@ -299,7 +227,7 @@ def predict_from_context(
                     low = take & -take
                     take ^= low
                     bit = low.bit_length() - 1
-                    n = bit % w
+                    n = steps - bit % stride
                     # of two bits of one cell, the lower is in the lower lane
                     if prob > row[n] or prob == row[n] and bit < bit_of[n]:
                         row[n], bit_of[n] = prob, bit

@@ -11,13 +11,18 @@ step 1 (any spike) accumulates denominators n(s); step 2 (spike in the
 preferred channel) accumulates numerators n(s and g) and grows the tree.
 `learn_step` runs both for one time step, and `learn_stream` for a whole
 stream.
+
+Both steps and prediction (`infer`) match with one walk, `match_occupancy`:
+a child item at delay d below an anchor at delay b keeps the steps of its
+parent's mask where the occupancy (bit wd per window entry (wd, channel))
+shifted right by d - b is set, one AND per child with no search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import groupby
-from operator import attrgetter
+from itertools import accumulate, groupby
+from operator import attrgetter, or_
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -185,20 +190,19 @@ class EpstTree:
     def step1_denominators(self, event: Event, window: HistoryWindow) -> None:
         """Triggered on any spike. In each top-level subtree whose root
         channel equals the event's channel, increment the denominator of
-        every node whose subsequence relative to that root matches the
-        window; the active root itself is incremented unconditionally."""
-        tol = self.params.matching_interval
-        entries = window.entries
+        every node whose path below that root matches the window (a walk
+        anchored at the root's delay); the root itself always counts."""
+        matched: Dict[TreeNode, int] = {}
+        tolerance = match_tolerance(self.params)
         for level1 in self.root.by_channel.get(event.channel, ()):
-            if not level1.is_inhibitory:
+            if level1.inhibitory is None:
                 level1.denominator += 1
-            if not level1.by_channel:
-                continue
-            matched = set()
-            _match_below(level1, level1.cum_delay, entries, tol, set(), matched)
-            for node in matched:
-                if not node.is_inhibitory:
-                    node.denominator += 1
+            if level1.by_channel:
+                occ, base = window.occupancy, level1.cum_delay
+                match_occupancy(level1.by_channel, 1, occ, base, tolerance, matched, 0, 0)
+        for node in matched:
+            if node.inhibitory is None:
+                node.denominator += 1
 
     def _bounded_entries(self, window: HistoryWindow) -> Tuple[Item, ...]:
         """The entries to store; ValueError if the oldest is beyond M."""
@@ -216,8 +220,8 @@ class EpstTree:
         p = self.params
         entries = self._bounded_entries(window)
         self.root_count += 1
-        found = set()
-        _match_below(self.root, 0, entries, p.matching_interval, set(), found)
+        found: Dict[TreeNode, int] = {}
+        match_occupancy(self.root.by_channel, 1, window.occupancy, 0, match_tolerance(p), found, 0, 0)
         matched = sorted(found, key=TreeNode.sort_key)
         for node in matched:
             if not node.is_inhibitory:
@@ -301,18 +305,75 @@ def _descendants(node: TreeNode):
         stack.extend(node.children[k] for k in sorted(node.children, reverse=True))
 
 
-def _match_below(node, base_delay, entries, tol, used, matched):
-    """Mark every descendant of `node` whose path below `node` (delays taken
-    relative to `base_delay`) has an injective window assignment. A matched
-    leaf is marked but not descended into."""
-    for j, (wd, wc) in enumerate(entries):
-        if j in used:
+def match_occupancy(groups, mask, occ, base, tolerance, results, min_len, min_den) -> None:
+    """Record in `results` every node below `groups` (inhibitory, or at
+    least `min_len` deep with a denominator of at least `min_den`) with the
+    steps of `mask` where its path below the anchor at delay `base` matches
+    `occ` (module docstring); `tolerance` is None at tol 0. A matched leaf
+    is not descended into. Module level: a nested walk is a reference cycle."""
+    for c, children in groups.items():
+        o = occ.get(c)
+        if o is None:
             continue
-        for child in node.by_channel.get(wc, ()):
-            if abs(wd - (child.cum_delay - base_delay)) > tol:
+        for child in children:
+            if tolerance is None:
+                seg = mask & o >> child.cum_delay - base
+            else:
+                seg = _tolerant_steps(tolerance, child, mask, c, o, base)
+            if not seg:
                 continue
-            matched.add(child)
-            if child.by_channel:
-                used.add(j)
-                _match_below(child, base_delay, entries, tol, used, matched)
-                used.discard(j)
+            if child.depth >= min_len and child.denominator >= min_den or (
+                child.inhibitory is not None
+            ):
+                results[child] = seg
+            deeper = child.by_channel
+            if deeper:
+                match_occupancy(deeper, seg, occ, base, tolerance, results, min_len, min_den)
+
+
+def match_tolerance(params: EpstParams):
+    """`match_occupancy`'s state at tol > 0, None at tol 0: (tol, M, channel
+    -> [OR of o >> 0..k for k in 0..2*tol]), the ORs built on first use."""
+    tol = params.matching_interval
+    return (tol, params.history_window, {}) if tol else None
+
+
+def _tolerant_steps(tolerance, child: TreeNode, mask: int, c: int, o: int, base: int) -> int:
+    """The steps of `mask` where `child` matches at tol > 0, its channel c
+    occupied as `o`: its item at delay d reads the delays d - tol .. d + tol
+    within 1..M, the OR of those shifts. If another item of c in the
+    matched path lies within 2*tol of it, `_assignable` checks each step."""
+    tol, top, spans = tolerance
+    d = child.cum_delay - base
+    lo = d - tol if d > tol else 1
+    hi = d + tol if d + tol < top else top
+    if c not in spans:
+        spans[c] = list(accumulate((o >> k for k in range(2 * tol + 1)), or_))
+    seg = mask & spans[c][hi - lo] >> lo
+    # below a level-1 node (step 1, base > 0) the path starts after its item, the spike
+    same = seg and [pd - base for pd, pc in child.path[1 if base else 0:] if pc == c]
+    if not same or len(same) < 2 or d - same[-2] > 2 * tol:
+        return seg
+    # fewer events on c than items fail at every step (Hall's condition)
+    return _assignable(same, o, seg, top, tol) if o.bit_count() >= len(same) else 0
+
+
+def _assignable(delays: List[int], o: int, steps: int, top: int, tol: int) -> int:
+    """The steps of `steps` (bit b: delay u at bit b + u of `o`) where each
+    of the ascending `delays` takes its own occupied delay within tol and
+    1..top. Equal-width intervals make taking each item's smallest free
+    delay in turn exact (Glover 1967, convex bipartite matching)."""
+    ranges = [(max(d - tol, 1), min(d + tol, top)) for d in delays]
+    exact = 0
+    while steps:
+        low = steps & -steps
+        steps ^= low
+        free = o >> low.bit_length() - 1
+        for lo, hi in ranges:
+            points = free >> lo & (1 << hi - lo + 1) - 1
+            if not points:
+                break
+            free ^= (points & -points) << lo
+        else:
+            exact |= low
+    return exact

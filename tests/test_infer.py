@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epst import runner
+from epst import runner, tree as tree_module
 from epst.acceptance import _injective_match, random_stream
 from epst.events import Event, EventStream, HistoryWindow, window_of
 from epst.extensions import VARIANTS, record_false_positive
 from epst.infer import (
     Candidate,
     PredictionMatrix,
-    _lane_row,
     _rank_key,
     candidate_from_node,
     context_events,
@@ -27,7 +26,7 @@ from epst.infer import (
     sampled_predict,
 )
 from epst.runner import SamplingConfig, run_epst
-from epst.tree import EpstParams, EpstTree, learn_stream
+from epst.tree import EpstParams, EpstTree, TreeNode, match_tolerance, learn_stream, match_occupancy
 
 
 # ---------------------------------------------------------------------------
@@ -102,32 +101,83 @@ def test_rank_key_matches_candidate_rank_key():
 
 
 # ---------------------------------------------------------------------------
-# step tables and sparse rows
+# occupancy steps and sparse rows
 
 
-def interval_mask(d, age, m, mp, tol):
+def interval_steps(d, age, m, mp, tol):
     """The steps n where an item with cumulative delay d matches an event of
     the given age: |n + age - d| <= tol, 1 <= n + age <= M, 0 <= n <= M'."""
-    lo = max(d - age - tol, 1 - age, 0)
-    hi = min(d - age + tol, m - age, mp)
-    return ((1 << (hi - lo + 1)) - 1) << lo if lo <= hi else 0
+    return {n for n in range(mp + 1) if abs(n + age - d) <= tol and 1 <= n + age <= m}
+
+
+def occupancy(ages, lanes, m, mp):
+    """The occupancy of channel 0 for events of the given ages, each in the
+    lanes that hold its index, and the mask of every lane's steps: an event
+    of age a sets bit r*B + M' + a of lane r, step n is bit r*B + M' - n,
+    with lane stride B = M + M' + 1 (the `infer` module docstring)."""
+    stride, occ = m + mp + 1, 0
+    for r, idx in enumerate(lanes):
+        for k in idx:
+            occ |= 1 << r * stride + mp + ages[k]
+    full = sum(((1 << mp + 1) - 1) << r * stride for r in range(len(lanes)))
+    return {0: occ}, full
+
+
+def lane_steps(mask, m, mp):
+    """Lane -> the steps n whose bit r*B + M' - n is set in a step mask;
+    every set bit must be one of a lane's M' + 1 step bits."""
+    stride, lanes = m + mp + 1, {}
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        lane, k = divmod(low.bit_length() - 1, stride)
+        assert k <= mp
+        lanes.setdefault(lane, set()).add(mp - k)
+    return lanes
+
+
+def item_steps(occ, full, d, m, mp, tol):
+    """The lane steps where a one-item path at delay d on channel 0 matches."""
+    node = TreeNode(((d, 0),))
+    found = {}
+    tolerance = match_tolerance(EpstParams(history_window=m, matching_interval=tol))
+    match_occupancy({0: [node]}, full, occ, 0, tolerance, found, 0, 0)
+    return lane_steps(found.get(node, 0), m, mp)
+
+
+@pytest.mark.parametrize("tol", [0, 1, 2, 5])
+@pytest.mark.parametrize("m,mp", [(16, 12), (10, 12), (32, 28)])
+def test_occupancy_steps_match_interval_formula(m, mp, tol):
+    # one event of each age 0..M against an item at each delay a tree can
+    # store, 1..M
+    for age in range(m + 1):
+        occ, full = occupancy([age], [[0]], m, mp)
+        for d in range(1, m + 1):
+            want = interval_steps(d, age, m, mp, tol)
+            assert item_steps(occ, full, d, m, mp, tol) == ({0: want} if want else {})
 
 
 @pytest.mark.parametrize("tol", [0, 2])
-@pytest.mark.parametrize("m,mp", [(16, 12), (10, 12), (32, 28)])
-def test_lane_row_matches_interval_formula(m, mp, tol):
-    # a row covers the delays a tree can store, 0..M
-    for age in range(m + 1):
-        row = _lane_row(m, mp, tol, age, 1)
-        assert len(row) == m + 1
-        for d in range(m + 1):
-            assert row[d] == interval_mask(d, age, m, mp, tol)
-    # ages past M match nowhere
-    assert all(interval_mask(d, m + 1, m, mp, tol) == 0 for d in range(2 * m + 4))
+@pytest.mark.parametrize("repeats", range(1, 7))
+def test_occupancy_lanes_stay_apart(repeats, tol):
+    # each lane matches its own events only: no bit of one lane's events
+    # reaches another lane's steps under any shift
+    m, mp = 16, 12
+    rng = np.random.default_rng(10 * repeats + tol)
+    ages = [int(a) for a in rng.integers(0, m + 1, size=6)]
+    lanes = [[int(k) for k in rng.choice(6, size=3, replace=False)] for _ in range(repeats)]
+    occ, full = occupancy(ages, lanes, m, mp)
+    for d in range(1, m + 1):
+        want = {}
+        for r, idx in enumerate(lanes):
+            steps = set().union(*(interval_steps(d, ages[k], m, mp, tol) for k in idx))
+            if steps:
+                want[r] = steps
+        assert item_steps(occ, full, d, m, mp, tol) == want
 
 
 def test_tree_delays_stay_within_history_window():
-    # the step rows are indexed by cumulative delay up to M
+    # a shift by a cumulative delay past M would read another lane's events
     p = EpstParams(history_window=12, max_subseq_len=3)
     stream = random_stream(32, 80, 3)
     trees = learn_stream(stream, p)
@@ -240,8 +290,21 @@ def assert_matches_oracle(trees, events, t):
     return matrix
 
 
-@pytest.mark.parametrize("seed,tol", [(5, 0), (6, 0), (7, 2), (8, 2)])
-def test_prediction_matches_naive_oracle(seed, tol):
+def count_assignments(monkeypatch):
+    """Record the calls of the walk's exact same-channel check."""
+    calls = []
+    check = tree_module._assignable
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(tree_module, "_assignable", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed,tol", [(5, 0), (6, 0), (7, 2), (8, 2), (9, 5), (10, 5)])
+def test_prediction_matches_naive_oracle(seed, tol, monkeypatch):
     p = EpstParams(
         history_window=16,
         prediction_window=12,
@@ -249,8 +312,11 @@ def test_prediction_matches_naive_oracle(seed, tol):
     )
     stream = random_stream(seed, 80, 4)
     trees = learn_stream(stream, p)
+    calls = count_assignments(monkeypatch)
     for t in (stream.events[40].time, stream.events[60].time, stream.events[-1].time):
         assert_matches_oracle(trees, context_events(stream, t, p.history_window), t)
+    # at tol > 0 the walk settles same-channel items within 2*tol exactly
+    assert bool(calls) == (tol > 0)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -268,7 +334,7 @@ def test_prediction_matches_naive_oracle_property(seed):
     assert_matches_oracle(trees, context_events(stream, t, p.history_window), t)
 
 
-@pytest.mark.parametrize("tol", [0, 2])
+@pytest.mark.parametrize("tol", [0, 2, 5])
 @pytest.mark.parametrize("extension_threshold", [1, 0, 2])
 @pytest.mark.parametrize("min_len", [1, 2, 3])
 def test_prediction_with_inhibitory_matches_naive_oracle(min_len, extension_threshold, tol):
@@ -298,6 +364,52 @@ def test_prediction_with_inhibitory_matches_naive_oracle(min_len, extension_thre
     assert hits > 0
 
 
+def test_duplicated_event_serves_one_item():
+    # a duplicated (time, channel) event is one entry of every window, so it
+    # cannot serve both items of ((4, 0), (6, 0)) at tol 1
+    p = EpstParams(
+        history_window=16,
+        prediction_window=8,
+        min_subseq_len=2,
+        max_subseq_len=2,
+        branch_extension_threshold=0,
+        matching_interval=1,
+    )
+    tree = EpstTree(0, p)
+    tree.step2_numerators_and_extend(HistoryWindow(((4, 0), (6, 0))))
+    for events in ([(95, 0), (95, 0)], [(95, 0)]):
+        assert assert_matches_oracle([tree], events, 100).cells == ()
+
+
+def test_same_channel_items_within_two_tol(monkeypatch):
+    # ((4, 0), (7, 0)) at tol 2: the items' intervals [2, 6] and [5, 9]
+    # overlap, so the AND alone would let one event serve both; the exact
+    # check must run, refuse that, and accept two events
+    p = EpstParams(
+        history_window=16,
+        prediction_window=8,
+        min_subseq_len=2,
+        max_subseq_len=2,
+        branch_extension_threshold=0,
+        matching_interval=2,
+    )
+    tree = EpstTree(0, p)
+    tree.step2_numerators_and_extend(HistoryWindow(((4, 0), (7, 0))))
+    calls = count_assignments(monkeypatch)
+    # ages 5 and 15: only the age-5 event is within tol of an item, of both
+    # at steps 0..1, so no step has an injective assignment
+    assert assert_matches_oracle([tree], [(85, 0), (95, 0)], 100).cells == ()
+    assert calls
+    calls.clear()
+    # one event alone is too few for two items at every step
+    assert assert_matches_oracle([tree], [(95, 0)], 100).cells == ()
+    assert not calls
+    # events of ages 5 and 6: the earlier item takes the younger
+    matrix = assert_matches_oracle([tree], [(94, 0), (95, 0)], 100)
+    assert matrix.chosen[(0, 0)].subsequence == ((4, 0), (7, 0))
+    assert calls
+
+
 def test_zero_probability_winner_stores_no_cell():
     # a bare structural node that later gained a denominator but no
     # numerator ranks first (entropy 0) and takes its cell, which stays 0
@@ -318,8 +430,9 @@ def test_context_event_later_than_t_is_an_error():
     tree = EpstTree(0, EpstParams(branch_extension_threshold=0, min_subseq_len=1))
     tree.step2_numerators_and_extend(HistoryWindow(frozenset({(10, 1)})))
     assert predict_from_context([tree], [(95, 1)], 100).cells == ((5, 0, 1.0),)
-    # an event at t itself has age 0 and is context
+    # an event at t itself has age 0 and is context; one older than M is not
     assert predict_from_context([tree], [(100, 1)], 100).cells == ((10, 0, 1.0),)
+    assert predict_from_context([tree], [(60, 1)], 100).cells == ()
     # age -30 must not be read as an old event
     with pytest.raises(ValueError, match=r"time 130 is later than t = 100"):
         predict_from_context([tree], [(130, 1)], 100)

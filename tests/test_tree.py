@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epst import tree as tree_module
 from epst.acceptance import random_stream, replay_counts, tree_counts
 from epst.events import Event, EventStream, sort_key, window_of
 from epst.extensions import (
@@ -15,7 +16,7 @@ from epst.extensions import (
     prune_entropy,
     record_false_positive,
 )
-from epst.tree import EpstParams, EpstTree, learn_stream
+from epst.tree import EpstParams, EpstTree, _assignable as assignable, learn_stream
 
 
 def one_shot_stream():
@@ -105,17 +106,27 @@ def test_max_depth_respected():
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("tol", [0, 2])
-def test_counts_match_replay_oracle(seed, tol):
+@pytest.mark.parametrize("tol", [0, 2, 5])
+def test_counts_match_replay_oracle(seed, tol, monkeypatch):
     p = EpstParams(
         history_window=16,
         prediction_window=12,
         matching_interval=tol,
     )
     stream = random_stream(seed, 60, 4)
+    # at tol > 0 paths hold same-channel items within 2*tol, which the
+    # matcher's exact check settles
+    checks = []
+
+    def counted(*args):
+        checks.append(args)
+        return assignable(*args)
+
+    monkeypatch.setattr(tree_module, "_assignable", counted)
     for g, tree in enumerate(learn_stream(stream, p)):
         assert tree_counts(tree) == replay_counts(stream, p, g)
         assert tree.node_count == len(tree_counts(tree))
+    assert bool(checks) == (tol > 0)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(0, 2))
