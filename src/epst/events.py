@@ -130,8 +130,9 @@ Subsequence = Tuple[Item, ...]
 
 
 def sort_key(items: Subsequence) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Canonical order: lexicographic on (delay list, channel list)."""
-    return tuple(d for d, _ in items), tuple(c for _, c in items)
+    """Canonical order: lexicographic on (delay list, channel list), a
+    non-empty subsequence transposed."""
+    return tuple(zip(*items))
 
 
 def window_of(stream: EventStream, t: int, m: int) -> HistoryWindow:

@@ -8,6 +8,13 @@ count-based entropy wins; matched inhibitory patterns contribute a
 probability of exactly zero.
 
 Matching for all steps of one trigger is one walk, `tree.match_occupancy`.
+It starts, once per forest, at the level-2 nodes that the pairs of
+distinct context events select through the forest's pair index (`tree`
+module docstring): two items at delays d1 <= d2 can match events of ages
+a1, a2 at one step only if d2 - d1 is within 2*tol of a2 - a1. A context
+with more event pairs than the index has keys tries every key instead.
+Each such node's step mask is then computed exactly, and the walk goes on
+below it.
 An item (d, c) of a stored pattern matches an event of age a = t - t_k at
 step n iff |n + a - d| <= tol and 1 <= n + a <= M. The context is one int
 per channel, its occupancy: an event of age a <= M sets bit M' + a, and a
@@ -32,12 +39,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import combinations, permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .events import EventStream, Subsequence, sort_key
-from .tree import EpstTree, TreeNode, match_tolerance, match_occupancy
+from .tree import (
+    EpstTree,
+    TreeNode,
+    _tolerant_steps,
+    match_occupancy,
+    match_tolerance,
+    pair_indexes,
+)
 
 
 def estimate_probability(numerator: int, denominator: int) -> float:
@@ -170,8 +185,7 @@ def predict_from_context(
     indices of each repeat (default: one lane of all events), merged as the
     module docstring says. An event later than t is not context:
     ValueError. A Candidate is built only for a node that wins a nonzero
-    cell, and a row only when it has one; a tree whose level-1 groups share
-    no channel with the context is not walked."""
+    cell, and a row only when it has one."""
     p = trees[0].params
     m, steps = p.history_window, p.prediction_window
     w, stride = steps + 1, m + steps + 1
@@ -183,24 +197,20 @@ def predict_from_context(
         for k in idx:
             spreads[k] |= 1 << r * stride
     occ: Dict[int, int] = {}
+    items = set()
     for (time_k, c_k), spread in zip(events, spreads):
         age = t - time_k
         if age < 0:
             raise ValueError(f"context event at time {time_k} is later than t = {t}")
         if spread and age <= m:
             occ[c_k] = occ.get(c_k, 0) | spread << steps + age
+            items.add((age, c_k))
     full = lane_mask * sum(1 << r * stride for r in range(len(lanes)))
     tolerance = match_tolerance(p)   # shared: its ORs are the occupancy's
+    found = _match_forests(trees, sorted(items), occ, full, tolerance)
     matrix = PredictionMatrix(trigger_time=t, steps=steps)
-    min_len = p.min_subseq_len
     for tree in trees:
-        # no level-1 node, inhibitory or not, is a candidate when
-        # min_subseq_len >= 2, so the walk starts from the branching ones
-        first = tree.branching if min_len > 1 else tree.root.by_channel
-        if first.keys().isdisjoint(occ):
-            continue
-        matches: Dict[TreeNode, int] = {}
-        match_occupancy(first, full, occ, 0, tolerance, matches, min_len, 1)
+        matches = found.get(tree.g)
         if not matches:
             continue
         ranked = []
@@ -237,6 +247,84 @@ def predict_from_context(
         if inhib:
             matrix.inhibitory_hits[tree.g] = inhib
     return matrix
+
+
+def _match_forests(trees, items, occ, full, tolerance) -> Dict[int, Dict[TreeNode, int]]:
+    """Every node of the trees' forests that can predict (inhibitory, or
+    counted and at least `min_subseq_len` deep) and matches the occupancy
+    `occ` at some step of `full`, with its step mask, by tree channel.
+    Level-1 candidates (`min_subseq_len` 1) are read from the trees' roots;
+    the walk starts at the level-2 nodes under the pair index keys
+    (c1, c2, gap) of the pairs of distinct context `items` (age, channel):
+    in canonical order at the pair's gap at tol 0, in both orders within
+    2*tol of it above. When those pairs outnumber the index's keys, every
+    key of the index is tried instead. A tried node's mask is exact."""
+    min_len = trees[0].params.min_subseq_len
+    found: Dict[int, Dict[TreeNode, int]] = {}
+    if min_len == 1:
+        for tree in trees:
+            matches = found[tree.g] = {}
+            for c, group in tree.root.by_channel.items():
+                o = occ.get(c)
+                if o is None:
+                    continue
+                for node in group:
+                    if tolerance is None:
+                        seg = full & o >> node.cum_delay
+                    else:
+                        seg = _tolerant_steps(tolerance, node.path, full, c, o, 0)
+                    if seg and (node.denominator >= 1 or node.inhibitory is not None):
+                        matches[node] = seg
+    n = len(items)
+    span = 0 if tolerance is None else 2 * tolerance[0]
+    # the number of context pair keys, at most
+    bound = n * (n - 1) // 2 if tolerance is None else n * (n - 1) * (2 * span + 1)
+    context_keys = None
+    record = min_len <= 2
+    for pairs in pair_indexes(trees):
+        if len(pairs) < bound:
+            keys = pairs
+        elif context_keys is not None:
+            keys = context_keys
+        elif tolerance is None:
+            keys = context_keys = {
+                (c1, c2, a2 - a1) for (a1, c1), (a2, c2) in combinations(items, 2)
+            }
+        else:
+            keys = context_keys = {
+                (c1, c2, gap)
+                for (a1, c1), (a2, c2) in permutations(items, 2)
+                for gap in range(max(a2 - a1 - span, 0), a2 - a1 + span + 1)
+            }
+        for key in keys:
+            entries = pairs.get(key)
+            if entries is None:
+                continue
+            c1, c2, gap = key
+            o1, o2 = occ.get(c1), occ.get(c2)
+            if o1 is None or o2 is None:
+                continue
+            if tolerance is None:
+                # o1 >> d1 & o2 >> d2 is both >> d1
+                both = o1 & o2 >> gap
+                if not both:
+                    continue  # no lane holds the pair
+            for node, g in entries.items():
+                if tolerance is None:
+                    seg = full & both >> node.path[0][0]
+                else:
+                    seg = _tolerant_steps(tolerance, node.path[:1], full, c1, o1, 0)
+                    seg = seg and _tolerant_steps(tolerance, node.path, seg, c2, o2, 0)
+                if not seg:
+                    continue
+                matches = found.get(g)
+                if matches is None:
+                    matches = found[g] = {}
+                if record and node.denominator >= 1 or node.inhibitory is not None:
+                    matches[node] = seg
+                if node.by_channel:
+                    match_occupancy(node.by_channel, seg, occ, 0, tolerance, matches, min_len, 1)
+    return found
 
 
 def context_events(stream: EventStream, t: int, m: int) -> List[Tuple[int, int]]:

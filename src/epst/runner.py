@@ -23,7 +23,7 @@ from .extensions import (
     record_false_positive,
 )
 from .infer import PredictionMatrix, context_events, predict_from_context, sampled_predict
-from .tree import EpstParams, EpstTree, learn_step
+from .tree import EpstParams, EpstTree, forest, learn_step
 from .vmm import VmmModel
 
 PRUNE_INTERVAL_EVENTS = 500
@@ -88,7 +88,7 @@ def run_epst(
     sampling: Optional[SamplingConfig] = None,
 ) -> EpstRunResult:
     m = params.history_window
-    trees = [EpstTree(g, params) for g in range(stream.num_channels)]
+    trees = forest(stream.num_channels, params)
     visible = stream.visible()
     vis_cells = {(e.channel, e.time) for e in visible}
 

@@ -16,6 +16,14 @@ Both steps and prediction (`infer`) match with one walk, `match_occupancy`:
 a child item at delay d below an anchor at delay b keeps the steps of its
 parent's mask where the occupancy (bit wd per window entry (wd, channel))
 shifted right by d - b is set, one AND per child with no search.
+
+Step 1 and prediction start that walk at the level-2 nodes a pair of events
+selects. A forest's trees (`forest`; a lone tree is a forest of one) share
+one pair index, `EpstTree.pairs`: (c1, c2, d2 - d1) -> every level-2 node
+((d1, c1), (d2, c2)), with the channel of its tree. Two items match two
+events only if their gap is the events' gap (within 2*tol), so a lookup
+per event pair finds every level-2 node that can match, and the walk
+checks each exactly. `_add_child` and `_detach` keep the index.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass, fields
 from itertools import accumulate, groupby
 from operator import attrgetter, or_
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .events import (
     Event,
@@ -110,10 +118,22 @@ class TreeNode:
         return self._sort_key
 
 
-class EpstTree:
-    """One prediction unit: learns to predict spikes in channel `g`."""
+# (c1, c2, d2 - d1) -> {level-2 node ((d1, c1), (d2, c2)): channel of its
+# tree}; it holds no tree, so a dropped forest leaves no reference cycle
+PairIndex = Dict[Tuple[int, int, int], Dict[TreeNode, int]]
 
-    def __init__(self, g: int, params: EpstParams):
+
+def _pair_key(path: Subsequence) -> Tuple[int, int, int]:
+    (d1, c1), (d2, c2) = path[:2]
+    return c1, c2, d2 - d1
+
+
+class EpstTree:
+    """One prediction unit: learns to predict spikes in channel `g`. Its
+    level-2 nodes are entered in `pairs`, the index of its forest (module
+    docstring), a new one unless given."""
+
+    def __init__(self, g: int, params: EpstParams, pairs: Optional[PairIndex] = None):
         if g < 0:
             raise ValueError("preferred channel must be >= 0")
         self.g = g
@@ -121,9 +141,7 @@ class EpstTree:
         self.root = TreeNode(())
         self.root_count = 0          # n(g): spikes seen in the preferred channel
         self.node_count = 0
-        # the level-1 nodes that have children of their own, per channel, in
-        # by_channel order; _add_child and _detach keep it
-        self.branching: Dict[int, List[TreeNode]] = {}
+        self.pairs: PairIndex = {} if pairs is None else pairs
 
     # -- structure ---------------------------------------------------------
 
@@ -133,8 +151,8 @@ class EpstTree:
             parent.children, parent.by_channel = {}, {}
         parent.children[item] = node
         parent.by_channel.setdefault(item[1], []).append(node)
-        if parent.depth == 1 and len(parent.children) == 1:
-            self._index_branching(parent.item[1])
+        if parent.depth == 1:
+            self.pairs.setdefault(_pair_key(node.path), {})[node] = self.g
         self.node_count += 1
         return node
 
@@ -147,19 +165,19 @@ class EpstTree:
             del parent.by_channel[item[1]]
         if not parent.children:
             parent.children = parent.by_channel = _NO_CHILDREN
-        if parent.depth == 0 and child.children:
-            self._index_branching(item[1])
-        elif parent.depth == 1 and not parent.children:
-            self._index_branching(parent.item[1])
+        if parent.depth == 0:
+            for level2 in child.children.values():
+                self._unindex(level2)
+        elif parent.depth == 1:
+            self._unindex(child)
         self.node_count -= 1 + sum(1 for _ in _descendants(child))
 
-    def _index_branching(self, channel: int) -> None:
-        """Rebuild the branching list for one channel."""
-        group = [n for n in self.root.by_channel.get(channel, ()) if n.children]
-        if group:
-            self.branching[channel] = group
-        else:
-            self.branching.pop(channel, None)
+    def _unindex(self, level2: TreeNode) -> None:
+        key = _pair_key(level2.path)
+        entries = self.pairs[key]
+        del entries[level2]
+        if not entries:
+            del self.pairs[key]
 
     def _chain(self, node: TreeNode) -> List[TreeNode]:
         """The nodes from the root down to `node`, found by walking its
@@ -188,21 +206,10 @@ class EpstTree:
     # -- learning ----------------------------------------------------------
 
     def step1_denominators(self, event: Event, window: HistoryWindow) -> None:
-        """Triggered on any spike. In each top-level subtree whose root
-        channel equals the event's channel, increment the denominator of
-        every node whose path below that root matches the window (a walk
-        anchored at the root's delay); the root itself always counts."""
-        matched: Dict[TreeNode, int] = {}
+        """Triggered on any spike: `count_denominators` in this tree alone,
+        even when it shares its index with other trees."""
         tolerance = match_tolerance(self.params)
-        for level1 in self.root.by_channel.get(event.channel, ()):
-            if level1.inhibitory is None:
-                level1.denominator += 1
-            if level1.by_channel:
-                occ, base = window.occupancy, level1.cum_delay
-                match_occupancy(level1.by_channel, 1, occ, base, tolerance, matched, 0, 0)
-        for node in matched:
-            if node.inhibitory is None:
-                node.denominator += 1
+        count_denominators((self,), event.channel, window, tolerance, only=self.g)
 
     def _bounded_entries(self, window: HistoryWindow) -> Tuple[Item, ...]:
         """The entries to store; ValueError if the oldest is beyond M."""
@@ -272,6 +279,67 @@ class EpstTree:
         return "\n".join(lines) + "\n"
 
 
+def count_denominators(
+    trees: Sequence[EpstTree],
+    channel: int,
+    window: HistoryWindow,
+    tolerance,
+    only: Optional[int] = None,
+) -> None:
+    """Learning step 1 for a spike on `channel` in the forest of `trees`,
+    or in its tree `only` alone; `tolerance` is `match_tolerance`'s state
+    for this window. Every level-1 node on the spike's channel counts.
+    Below it, a node counts once per spike when its path matches the
+    window in a walk anchored at the level-1 delay: one lookup per window
+    entry (wd, c) finds the level-2 nodes ((d1, channel), (d2, c)) with
+    d2 - d1 within tol of wd."""
+    for tree in trees:
+        for level1 in tree.root.by_channel.get(channel, ()):
+            if level1.inhibitory is None:
+                level1.denominator += 1
+    occ = window.occupancy
+    if tolerance is None:
+        keys: Iterable = [(channel, wc, wd) for wd, wc in window.entries]
+    else:
+        tol = tolerance[0]
+        keys = {
+            (channel, wc, gap)
+            for wd, wc in window.entries
+            for gap in range(wd - tol if wd > tol else 0, wd + tol + 1)
+        }
+    matched: Dict[TreeNode, int] = {}
+    for pairs in pair_indexes(trees):
+        for key in keys:
+            entries = pairs.get(key)
+            if entries is None:
+                continue
+            for node, g in entries.items():
+                if only is not None and g != only:
+                    continue
+                base, seg = node.path[0][0], 1
+                if tolerance is not None:
+                    c = key[1]
+                    seg = _tolerant_steps(tolerance, node.path, 1, c, occ[c], base)
+                    if not seg:
+                        continue
+                matched[node] = seg
+                if node.by_channel:
+                    match_occupancy(node.by_channel, seg, occ, base, tolerance, matched, 0, 0)
+    for node in matched:
+        if node.inhibitory is None:
+            node.denominator += 1
+
+
+def pair_indexes(trees: Sequence[EpstTree]) -> List[PairIndex]:
+    """The distinct pair indexes of `trees`, one per forest: most often
+    the one that all of them share."""
+    pairs = trees[0].pairs
+    for tree in trees:
+        if tree.pairs is not pairs:
+            return list({id(tree.pairs): tree.pairs for tree in trees}.values())
+    return [pairs]
+
+
 def learn_step(
     trees: Sequence[EpstTree], stream: EventStream, t: int, events: Sequence[Event]
 ) -> None:
@@ -279,18 +347,25 @@ def learn_step(
     the history window at t: step 1 in every tree for each event, then
     step 2 in the tree of each event's channel, in channel order. `trees`
     holds one tree per channel, indexed by channel, with shared params."""
-    window = window_of(stream, t, trees[0].params.history_window)
+    params = trees[0].params
+    window = window_of(stream, t, params.history_window)
+    tolerance = match_tolerance(params)
     for e in events:
-        for tree in trees:
-            tree.step1_denominators(e, window)
+        count_denominators(trees, e.channel, window, tolerance)
     for e in sorted(events, key=attrgetter("channel")):
         trees[e.channel].step2_numerators_and_extend(window)
 
 
+def forest(num_channels: int, params: EpstParams) -> List[EpstTree]:
+    """Fresh trees, one per channel, sharing one pair index."""
+    pairs: PairIndex = {}
+    return [EpstTree(g, params, pairs) for g in range(num_channels)]
+
+
 def learn_stream(stream: EventStream, params: EpstParams) -> List[EpstTree]:
-    """Fresh trees, one per channel, learned online over the whole stream
-    one time step at a time, with no prediction."""
-    trees = [EpstTree(g, params) for g in range(stream.num_channels)]
+    """A fresh `forest`, learned online over the whole stream one time
+    step at a time, with no prediction."""
+    trees = forest(stream.num_channels, params)
     for t, events in groupby(stream.visible(), key=attrgetter("time")):
         learn_step(trees, stream, t, list(events))
     return trees
@@ -319,7 +394,7 @@ def match_occupancy(groups, mask, occ, base, tolerance, results, min_len, min_de
             if tolerance is None:
                 seg = mask & o >> child.cum_delay - base
             else:
-                seg = _tolerant_steps(tolerance, child, mask, c, o, base)
+                seg = _tolerant_steps(tolerance, child.path, mask, c, o, base)
             if not seg:
                 continue
             if child.depth >= min_len and child.denominator >= min_den or (
@@ -338,20 +413,21 @@ def match_tolerance(params: EpstParams):
     return (tol, params.history_window, {}) if tol else None
 
 
-def _tolerant_steps(tolerance, child: TreeNode, mask: int, c: int, o: int, base: int) -> int:
-    """The steps of `mask` where `child` matches at tol > 0, its channel c
-    occupied as `o`: its item at delay d reads the delays d - tol .. d + tol
-    within 1..M, the OR of those shifts. If another item of c in the
-    matched path lies within 2*tol of it, `_assignable` checks each step."""
+def _tolerant_steps(tolerance, path: Subsequence, mask: int, c: int, o: int, base: int) -> int:
+    """The steps of `mask` where the last item of `path`, on channel c
+    occupied as `o`, matches at tol > 0: at delay d (from the anchor) it
+    reads the delays d - tol .. d + tol within 1..M, the OR of those shifts.
+    If another item of c in the matched path lies within 2*tol of it,
+    `_assignable` checks each step."""
     tol, top, spans = tolerance
-    d = child.cum_delay - base
+    d = path[-1][0] - base
     lo = d - tol if d > tol else 1
     hi = d + tol if d + tol < top else top
     if c not in spans:
         spans[c] = list(accumulate((o >> k for k in range(2 * tol + 1)), or_))
     seg = mask & spans[c][hi - lo] >> lo
     # below a level-1 node (step 1, base > 0) the path starts after its item, the spike
-    same = seg and [pd - base for pd, pc in child.path[1 if base else 0:] if pc == c]
+    same = seg and [pd - base for pd, pc in path[1 if base else 0:] if pc == c]
     if not same or len(same) < 2 or d - same[-2] > 2 * tol:
         return seg
     # fewer events on c than items fail at every step (Hall's condition)

@@ -364,6 +364,38 @@ def test_prediction_with_inhibitory_matches_naive_oracle(min_len, extension_thre
     assert hits > 0
 
 
+@pytest.mark.parametrize("tol", [0, 2])
+@pytest.mark.parametrize("min_len", [1, 2, 3])
+def test_dense_and_sparse_contexts_match_naive_oracle(min_len, tol):
+    # a sparse context looks up its event pairs' keys; a dense one, whose
+    # pairs outnumber the forest's pair keys, tries the index's own keys:
+    # both must find what the oracle finds
+    p = EpstParams(
+        history_window=12,
+        prediction_window=8,
+        min_subseq_len=min_len,
+        max_subseq_len=3,
+        branch_extension_threshold=0,
+        matching_interval=tol,
+    )
+    stream = random_stream(50 + min_len, 40, 3)
+    trees = learn_stream(stream, p)
+    for tree in trees:
+        for e in stream.events[10:40:6]:
+            record_false_positive(tree, window_of(stream, e.time, p.history_window))
+    keys = len(trees[0].pairs)
+    rng = np.random.default_rng(min_len + tol)
+    t = 500
+    dense = [(t - a, c) for a in range(p.history_window + 1) for c in range(3) if rng.random() < 0.7]
+    sparse = [(t - 11, 1), (t - 4, 0), (t - 2, 2)]
+    sizes = {len(events) * (len(events) - 1) // 2 for events in (dense, sparse)}
+    assert min(sizes) < keys < max(sizes)
+    inhibitory = 0
+    for events in (dense, sparse):
+        inhibitory += len(assert_matches_oracle(trees, events, t).inhibitory_hits)
+    assert inhibitory
+
+
 def test_duplicated_event_serves_one_item():
     # a duplicated (time, channel) event is one entry of every window, so it
     # cannot serve both items of ((4, 0), (6, 0)) at tol 1
@@ -396,9 +428,10 @@ def test_same_channel_items_within_two_tol(monkeypatch):
     tree = EpstTree(0, p)
     tree.step2_numerators_and_extend(HistoryWindow(((4, 0), (7, 0))))
     calls = count_assignments(monkeypatch)
-    # ages 5 and 15: only the age-5 event is within tol of an item, of both
-    # at steps 0..1, so no step has an injective assignment
-    assert assert_matches_oracle([tree], [(85, 0), (95, 0)], 100).cells == ()
+    # ages 5 and 12 (a gap within 3 + 2*tol, so a pair lookup selects the
+    # node): only the age-5 event is within tol of an item, of both at steps
+    # 0..1, so no step has an injective assignment
+    assert assert_matches_oracle([tree], [(88, 0), (95, 0)], 100).cells == ()
     assert calls
     calls.clear()
     # one event alone is too few for two items at every step

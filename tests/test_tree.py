@@ -7,16 +7,25 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epst import tree as tree_module
+from epst import runner, tree as tree_module
 from epst.acceptance import random_stream, replay_counts, tree_counts
 from epst.events import Event, EventStream, sort_key, window_of
 from epst.extensions import (
     FALSE_NEGATIVE_LIMIT,
+    VARIANTS,
     inhibitory_maintenance,
     prune_entropy,
     record_false_positive,
 )
-from epst.tree import EpstParams, EpstTree, _assignable as assignable, learn_stream
+from epst.runner import SamplingConfig
+from epst.tree import (
+    EpstParams,
+    EpstTree,
+    _assignable as assignable,
+    count_denominators,
+    forest,
+    learn_stream,
+)
 
 
 def one_shot_stream():
@@ -170,33 +179,39 @@ def _walk(node):
         yield from _walk(child)
 
 
-def assert_branching_index(tree):
-    root = tree.root
-    expected = {
-        c: [n for n in group if n.children] for c, group in root.by_channel.items()
-    }
-    assert tree.branching == {c: group for c, group in expected.items() if group}
+def assert_pair_index(trees):
+    """The forest's shared pair index equals a recount of its trees'
+    level-2 nodes."""
+    expected = {}
+    for tree in trees:
+        assert tree.pairs is trees[0].pairs
+        for level1 in tree.root.children.values():
+            for node in level1.children.values():
+                (d1, c1), (d2, c2) = node.path
+                expected.setdefault((c1, c2, d2 - d1), {})[node] = tree.g
+    assert trees[0].pairs == expected
 
 
 def test_sort_key_kept_through_maintenance():
     p = EpstParams(history_window=16, max_subseq_len=3)
     stream = random_stream(14, 80, 4)
-    tree = learn_stream(stream, p)[0]
-    assert_branching_index(tree)
-    assert tree.branching
+    trees = learn_stream(stream, p)
+    tree = trees[0]
+    assert_pair_index(trees)
+    assert tree.pairs
     for node in tree.iter_nodes():
         node.sort_key()
     for e in stream.events[30:70:5]:
         record_false_positive(tree, window_of(stream, e.time, p.history_window))
-    assert_branching_index(tree)
+    assert_pair_index(trees)
     inhibitory = [n for n in tree.iter_nodes() if n.is_inhibitory][::3]
     removed = []
     for _ in range(FALSE_NEGATIVE_LIMIT + 1):
         removed += inhibitory_maintenance(tree, inhibitory)
-        assert_branching_index(tree)
+        assert_pair_index(trees)
     assert removed and len(removed) == len(inhibitory)
     assert prune_entropy(tree) > 0
-    assert_branching_index(tree)
+    assert_pair_index(trees)
 
     def paths(node, prefix):
         for child in node.children.values():
@@ -219,24 +234,61 @@ def test_sort_key_kept_through_maintenance():
         assert key == sort_key(node.path)
 
 
-def test_branching_index_follows_add_child_and_detach():
-    tree = EpstTree(0, EpstParams())
+def test_pair_index_follows_add_child_and_detach():
+    trees = forest(2, EpstParams())
+    tree, other = trees
     root = tree.root
     a = tree._add_child(root, (3, 1))
     tree._add_child(root, (4, 1))
     b = tree._add_child(root, (5, 1))
-    assert tree.branching == {}
-    tree._add_child(b, (7, 2))
-    assert tree.branching == {1: [b]}
-    # a gains a child after b did but keeps its by_channel place
-    a_child = tree._add_child(a, (6, 2))
-    tree._add_child(a_child, (8, 0))
-    assert tree.branching == {1: [a, b]}
-    tree.remove_node(a_child)
-    assert tree.branching == {1: [b]}
+    assert tree.pairs == {}
+    b2 = tree._add_child(b, (7, 2))
+    assert tree.pairs == {(1, 2, 2): {b2: 0}}
+    # the same (channel, channel, gap) at another delay, and in another tree
+    a2 = tree._add_child(a, (5, 2))
+    o = other._add_child(other.root, (1, 1))
+    o2 = other._add_child(o, (3, 2))
+    # a level-3 node is not entered
+    tree._add_child(a2, (8, 0))
+    assert tree.pairs == {(1, 2, 2): {b2: 0, a2: 0, o2: 1}}
+    a3 = tree._add_child(a, (3, 2))
+    assert tree.pairs == {(1, 2, 2): {b2: 0, a2: 0, o2: 1}, (1, 2, 0): {a3: 0}}
+    assert_pair_index(trees)
+    tree.remove_node(a2)
+    assert tree.pairs == {(1, 2, 2): {b2: 0, o2: 1}, (1, 2, 0): {a3: 0}}
+    # removing a level-1 node removes its level-2 children
+    tree.remove_node(a)
     tree.remove_node(b)
-    assert tree.branching == {}
-    assert_branching_index(tree)
+    assert other.pairs == {(1, 2, 2): {o2: 1}}
+    other.remove_node(o)
+    assert tree.pairs == {}
+    assert_pair_index(trees)
+    # a lone tree is a forest of one
+    assert EpstTree(0, EpstParams()).pairs is not EpstTree(0, EpstParams()).pairs
+
+
+@pytest.mark.parametrize("tol", [0, 2])
+def test_step1_in_one_tree_of_a_forest(tol):
+    # step 1 in each tree alone, though the trees share one index, counts
+    # what step 1 in the whole forest counts
+    p = EpstParams(
+        history_window=12, max_subseq_len=3, branch_extension_threshold=0, matching_interval=tol
+    )
+    stream = random_stream(5, 50, 3)
+    alone, together = learn_stream(stream, p), learn_stream(stream, p)
+    for e in random_stream(6, 20, 3).events:
+        window = window_of(stream, e.time + 30, p.history_window)
+        for tree in alone:
+            before = [tree_counts(other) for other in alone if other is not tree]
+            tree.step1_denominators(e, window)
+            assert [tree_counts(other) for other in alone if other is not tree] == before
+        # a tolerance state is built for one window: its ORs are the window's
+        tolerance = tree_module.match_tolerance(p)
+        count_denominators(together, e.channel, window, tolerance)
+    assert [tree_counts(tree) for tree in alone] == [tree_counts(tree) for tree in together]
+    assert [tree_counts(tree) for tree in alone] != [
+        tree_counts(tree) for tree in learn_stream(stream, p)
+    ]
 
 
 def test_remove_node_refuses_a_node_not_in_the_tree():
@@ -277,3 +329,26 @@ def test_params_validation():
         EpstParams(min_subseq_len=0)
     with pytest.raises(ValueError):
         EpstTree(-1, EpstParams())
+
+
+@pytest.mark.parametrize(
+    "variant, sampling, tol",
+    [(name, None, 0) for name in VARIANTS]
+    + [("epst_ip", SamplingConfig(2, 2, seed=1), 0), ("epst_ip", None, 2)],
+)
+def test_pair_index_after_a_whole_run(variant, sampling, tol, monkeypatch):
+    # on this stream an unsampled run with inhibition destroys patterns
+    stream = random_stream(0, 510, 2)
+    params = EpstParams(history_window=8, max_subseq_len=3, matching_interval=tol)
+    destroyed = []
+    maintain = runner.inhibitory_maintenance
+
+    def counting_maintenance(tree, hits):
+        destroyed.extend(maintain(tree, hits))
+        return destroyed
+
+    monkeypatch.setattr(runner, "inhibitory_maintenance", counting_maintenance)
+    run = runner.run_epst(stream, params, VARIANTS[variant], sampling)
+    assert_pair_index(run.trees)
+    assert run.trees[0].pairs
+    assert bool(destroyed) == (VARIANTS[variant].inhibition and sampling is None)
