@@ -12,13 +12,12 @@ cells are masked, and how the summation window is padded/shifted (jitter).
 Scoring computes the same sums without visiting every (step, channel)
 cell: for steps before the scored event it walks the nonzero cells of the
 triggers that are latest for those steps (`EpstRunResult.cells_between`),
-in (step, channel) order, so every float sum is bit-identical. Only the
+in (step, channel) order, so every float sum is bit-identical. The
 pad + 1 steps at or after the event, where the before cap makes an earlier
-trigger's grid apply, are looked up cell by cell: every one of those steps
-reads the same trigger, the last one before the event, so only the
-channels with a row in that trigger's matrix are looked up (any other
-channel reads exactly 0). False-positive counting is one pass over the same
-nonzero cells.
+trigger's grid apply, all read the same trigger, the last one before the
+event, so only that trigger's nonzero cells at those steps are looked up
+(any other cell reads exactly 0). False-positive counting is one pass over
+the same nonzero cells.
 """
 
 from __future__ import annotations
@@ -137,8 +136,8 @@ def _window_probability(
     """next_event_probability(run.latest_estimate, ...), summed from the
     triggers' nonzero cells. Every step at or after ceil(before_time)
     reads the last trigger before `before_time`, so those steps look up
-    only the channels with a row in that trigger's matrix, in ascending
-    order; a channel without a row would add exactly 0."""
+    only that trigger's nonzero cells, in (step, channel) order; any other
+    cell would add exactly 0."""
 
     def counted(c: int, step: int) -> bool:
         return (c, step) not in masks and (allowed is None or (c, step) in allowed)
@@ -153,11 +152,11 @@ def _window_probability(
                 num += v
     # the one trigger every later step reads; none before the first trigger
     idx = bisect.bisect_left(run.trigger_times, before_time) - 1
-    rows = sorted(c for c in run.matrices[idx].estimates if c < num_channels) if idx >= 0 else []
-    for step in range(max(t_lo + 1, capped), t_hi + 1):
-        for c in rows:
-            if counted(c, step):
-                v = run.latest_estimate(c, step, before_time)
+    if idx >= 0:
+        t = run.trigger_times[idx]
+        for n, c, _ in run.matrices[idx].cells_in(max(t_lo + 1, capped) - t, t_hi - t):
+            if c < num_channels and counted(c, t + n):
+                v = run.latest_estimate(c, t + n, before_time)
                 den += v
                 if c == channel:
                     num += v

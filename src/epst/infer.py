@@ -21,22 +21,29 @@ per channel, its occupancy: an event of age a <= M sets bit M' + a, and a
 step mask holds step n at bit M' - n, so the occupancy shifted right by d
 holds at step n the events with n + a = d. A channel's events are bits of
 one int, so a duplicated (time, channel) event is one bit, and there is no
-used-event mask. Matched nodes are ranked as plain tuples;
-only a node that wins a nonzero cell becomes a `Candidate`, and the
-prediction matrix stores only rows with a nonzero cell.
+used-event mask.
+
+A step of a tree goes to the best-ranked node that matched there. Only a
+tree whose matched step masks overlap is ranked, as plain tuples; in any
+other tree each node just takes its own steps. A prediction is its
+nonzero cells: one tuple of (n, channel, p), sorted, and an aligned tuple
+of each winner's (subsequence, numerator, denominator) at prediction time.
+Both hold only ints and floats. The rows of `estimates` and the
+`Candidate`s of `chosen` are views derived from them on first read.
 
 Downsampled prediction shares that one walk among its R repeats: lane r
 holds repeat r's events at bits r*B + M' + a and its steps at bits
 r*B .. r*B + M', with stride B = M + M' + 1, so a shift by d <= M moves no
 bit of lane r + 1 into lane r's steps, and each lane sees exactly its
 repeat's own walk. A cell is the maximum over lanes, a tie keeps the lower
-lane's `chosen` Candidate, and an inhibitory node reports its step mask
-from the lowest lane it matched in. The full context is the one-lane case.
+lane's winner, and an inhibitory node reports its step mask from the
+lowest lane it matched in. The full context is the one-lane case.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
@@ -49,9 +56,9 @@ from .tree import (
     EpstTree,
     TreeNode,
     _tolerant_steps,
+    forest_indexes,
     match_occupancy,
     match_tolerance,
-    pair_indexes,
 )
 
 
@@ -110,13 +117,13 @@ def candidate_from_node(node: TreeNode) -> Candidate:
 
 
 class _Rows(dict):
-    """Channel -> estimate row. Prediction stores only rows with a nonzero
-    cell; indexing a missing channel stores and returns an all-zero row."""
+    """Channel -> estimate row; indexing a missing channel stores and
+    returns an all-zero row."""
 
     __slots__ = ("width",)
 
-    def __init__(self, width: int, rows=()):
-        super().__init__(rows)
+    def __init__(self, width: int):
+        super().__init__()
         self.width = width
 
     def __missing__(self, channel: int) -> List[float]:
@@ -124,40 +131,56 @@ class _Rows(dict):
         return row
 
 
+# a nonzero cell (n, channel, p) and the representative behind it, as
+# (subsequence, numerator, denominator) at prediction time
+Cell = Tuple[int, int, float]
+Winner = Tuple[Subsequence, int, int]
+
+
 @dataclass
 class PredictionMatrix:
-    """Per-trigger grid of probability estimates, columns n = 0..M'.
-    `estimates` stores a row only for a channel with a nonzero cell; a
-    missing row reads 0 through `probability`, and indexing it stores a
-    zero row. `chosen` records the representative behind every nonzero
-    cell."""
+    """Per-trigger grid of probability estimates, columns n = 0..M': its
+    nonzero cells, sorted by (n, channel), and the representative behind
+    each. Every other cell is 0. `estimates` and `chosen` are views derived
+    from them on first read."""
 
     trigger_time: int
     steps: int  # M'
-    estimates: Dict[int, List[float]] = field(default_factory=dict)
-    chosen: Dict[Tuple[int, int], Candidate] = field(default_factory=dict)
+    cells: Tuple[Cell, ...] = ()
+    winners: Tuple[Winner, ...] = ()  # aligned with `cells`
     # matched inhibitory patterns per channel: (node, step bitmask)
     inhibitory_hits: Dict[int, List[Tuple[TreeNode, int]]] = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.estimates = _Rows(self.steps + 1, self.estimates)
-
     def probability(self, channel: int, n: int) -> float:
-        row = self.estimates.get(channel)
-        if row is None:
-            return 0.0
-        return row[n]
+        cells = self.cells
+        i = bisect_left(cells, (n, channel))
+        if i < len(cells) and cells[i][0] == n and cells[i][1] == channel:
+            return cells[i][2]
+        return 0.0
+
+    def cells_in(self, lo: int, hi: int) -> Tuple[Cell, ...]:
+        """The nonzero cells with lo <= n <= hi, in (n, channel) order."""
+        cells = self.cells
+        return cells[bisect_left(cells, (lo,)) : bisect_left(cells, (hi + 1,))]
 
     @cached_property
-    def cells(self) -> Tuple[Tuple[int, int, float], ...]:
-        """The nonzero cells of `estimates` as (n, channel, p), sorted by
-        (n, channel). Derived on first use, so the grid must be final by
-        then."""
-        return tuple(sorted(
-            (n, channel, p)
-            for channel, row in self.estimates.items() if any(row)
-            for n, p in enumerate(row[: self.steps + 1]) if p
-        ))
+    def estimates(self) -> Dict[int, List[float]]:
+        """Channel -> its row of M' + 1 estimates, for every channel with a
+        nonzero cell. Built on first read and then stored: indexing a
+        missing channel stores and returns a zero row, and writes to a row
+        change this view only."""
+        rows = _Rows(self.steps + 1)
+        for n, channel, p in self.cells:
+            rows[channel][n] = p
+        return rows
+
+    @cached_property
+    def chosen(self) -> Dict[Tuple[int, int], Candidate]:
+        """(channel, n) -> the representative behind that nonzero cell."""
+        return {
+            (channel, n): Candidate(*winner)
+            for (n, channel, _), winner in zip(self.cells, self.winners)
+        }
 
 
 def _rank_key(node: TreeNode):
@@ -184,8 +207,7 @@ def predict_from_context(
     assumes), so one occupancy serves them all. `lanes` holds the event
     indices of each repeat (default: one lane of all events), merged as the
     module docstring says. An event later than t is not context:
-    ValueError. A Candidate is built only for a node that wins a nonzero
-    cell, and a row only when it has one."""
+    ValueError."""
     p = trees[0].params
     m, steps = p.history_window, p.prediction_window
     w, stride = steps + 1, m + steps + 1
@@ -208,80 +230,95 @@ def predict_from_context(
     full = lane_mask * sum(1 << r * stride for r in range(len(lanes)))
     tolerance = match_tolerance(p)   # shared: its ORs are the occupancy's
     found = _match_forests(trees, sorted(items), occ, full, tolerance)
-    matrix = PredictionMatrix(trigger_time=t, steps=steps)
-    for tree in trees:
-        matches = found.get(tree.g)
-        if not matches:
-            continue
-        ranked = []
-        inhib: List[Tuple[TreeNode, int]] = []
+    one_lane = len(lanes) == 1
+    won: List[Tuple[Cell, Winner]] = []
+    hits: Dict[int, List[Tuple[TreeNode, int]]] = {}
+    for g, matches in found.items():
+        union = overlap = 0
         for node, mask in matches.items():
             if node.inhibitory is not None:
                 lowest = ((mask & -mask).bit_length() - 1) // stride * stride
                 # a lane holds step n at bit M' - n, inhibitory_hits at bit n
                 lane = format(mask >> lowest & lane_mask, f"0{w}b")
-                inhib.append((node, int(lane[::-1], 2)))
-            ranked.append((_rank_key(node), node, mask))
-        ranked.sort()
-        row = bit_of = None
-        remaining = full
-        for _, node, mask in ranked:
-            take = mask & remaining
-            remaining &= ~mask
-            if take and node.inhibitory is None and node.numerator > 0:
-                cand = candidate_from_node(node)
-                prob = cand.probability
-                if row is None:
-                    row, bit_of = matrix.estimates[tree.g], [0] * w
-                while take:
-                    low = take & -take
-                    take ^= low
-                    bit = low.bit_length() - 1
-                    n = steps - bit % stride
-                    # of two bits of one cell, the lower is in the lower lane
-                    if prob > row[n] or prob == row[n] and bit < bit_of[n]:
-                        row[n], bit_of[n] = prob, bit
-                        matrix.chosen[(tree.g, n)] = cand
-            if not remaining:
-                break
-        if inhib:
-            matrix.inhibitory_hits[tree.g] = inhib
-    return matrix
+                hits.setdefault(g, []).append((node, int(lane[::-1], 2)))
+            overlap |= union & mask
+            union |= mask
+        if overlap:
+            # a step bit goes to the best-ranked node that matched there
+            taken = []
+            remaining = full
+            for _, node, mask in sorted((_rank_key(node), node, mask) for node, mask in matches.items()):
+                take = mask & remaining
+                if take:
+                    remaining ^= take
+                    taken.append((node, take))
+        else:
+            taken = matches.items()
+        best: Dict[int, Tuple[float, int, Winner]] = {}
+        for node, take in taken:
+            num = node.numerator
+            if node.inhibitory is not None or num <= 0:
+                continue
+            den = node.denominator
+            prob = estimate_probability(num, den)
+            winner = (node.path, num, den)
+            while take:
+                low = take & -take
+                take ^= low
+                bit = low.bit_length() - 1
+                if one_lane:
+                    won.append(((steps - bit, g, prob), winner))
+                    continue
+                n = steps - bit % stride
+                # of two bits of one cell, the lower is in the lower lane
+                old = best.get(n)
+                if old is None or prob > old[0] or prob == old[0] and bit < old[1]:
+                    best[n] = (prob, bit, winner)
+        for n, (prob, _, winner) in best.items():
+            won.append(((n, g, prob), winner))
+    # (n, channel) is unique, so sorting never compares winners
+    won.sort()
+    cells, winners = zip(*won) if won else ((), ())
+    return PredictionMatrix(t, steps, cells, winners, hits)
 
 
 def _match_forests(trees, items, occ, full, tolerance) -> Dict[int, Dict[TreeNode, int]]:
-    """Every node of the trees' forests that can predict (inhibitory, or
-    counted and at least `min_subseq_len` deep) and matches the occupancy
-    `occ` at some step of `full`, with its step mask, by tree channel.
-    Level-1 candidates (`min_subseq_len` 1) are read from the trees' roots;
-    the walk starts at the level-2 nodes under the pair index keys
-    (c1, c2, gap) of the pairs of distinct context `items` (age, channel):
-    in canonical order at the pair's gap at tol 0, in both orders within
-    2*tol of it above. When those pairs outnumber the index's keys, every
-    key of the index is tried instead. A tried node's mask is exact."""
+    """Every node of `trees` that can predict (inhibitory, or counted and
+    at least `min_subseq_len` deep) and matches the occupancy `occ` at some
+    step of `full`, with its step mask, by tree channel; only trees with a
+    match have an entry. Level-1 candidates (`min_subseq_len` 1) are read
+    from the forests' level-1 index; the walk starts at the level-2 nodes
+    under the pair index keys (c1, c2, gap) of the pairs of distinct
+    context `items` (age, channel): in canonical order at the pair's gap at
+    tol 0, in both orders within 2*tol of it above. When those pairs
+    outnumber the index's keys, every key of the index is tried instead. A
+    tried node's mask is exact."""
     min_len = trees[0].params.min_subseq_len
+    indexes, keep = forest_indexes(trees)
     found: Dict[int, Dict[TreeNode, int]] = {}
-    if min_len == 1:
-        for tree in trees:
-            matches = found[tree.g] = {}
-            for c, group in tree.root.by_channel.items():
-                o = occ.get(c)
-                if o is None:
-                    continue
-                for node in group:
-                    if tolerance is None:
-                        seg = full & o >> node.cum_delay
-                    else:
-                        seg = _tolerant_steps(tolerance, node.path, full, c, o, 0)
-                    if seg and (node.denominator >= 1 or node.inhibitory is not None):
-                        matches[node] = seg
     n = len(items)
     span = 0 if tolerance is None else 2 * tolerance[0]
     # the number of context pair keys, at most
     bound = n * (n - 1) // 2 if tolerance is None else n * (n - 1) * (2 * span + 1)
     context_keys = None
     record = min_len <= 2
-    for pairs in pair_indexes(trees):
+    for index in indexes:
+        if min_len == 1:
+            for c, group in index.level1.items():
+                o = occ.get(c)
+                if o is None:
+                    continue
+                for node, g in group.items():
+                    if tolerance is None:
+                        seg = full & o >> node.cum_delay
+                    else:
+                        seg = _tolerant_steps(tolerance, node.path, full, c, o, 0)
+                    if seg and (node.denominator >= 1 or node.inhibitory is not None):
+                        matches = found.get(g)
+                        if matches is None:
+                            matches = found[g] = {}
+                        matches[node] = seg
+        pairs = index.pairs
         if len(pairs) < bound:
             keys = pairs
         elif context_keys is not None:
@@ -324,6 +361,8 @@ def _match_forests(trees, items, occ, full, tolerance) -> Dict[int, Dict[TreeNod
                     matches[node] = seg
                 if node.by_channel:
                     match_occupancy(node.by_channel, seg, occ, 0, tolerance, matches, min_len, 1)
+    if keep is not None:
+        found = {g: matches for g, matches in found.items() if g in keep}
     return found
 
 
@@ -352,7 +391,7 @@ def sampled_predict(
     """Predict on `repeats` contexts downsampled to min(sample_size, context
     size) events without replacement and keep the cell-wise maximum. Repeat
     r is lane r of one prediction (module docstring): a tie between repeats
-    keeps the earlier repeat's `chosen` Candidate, and an inhibitory node
+    keeps the earlier repeat's winner, and an inhibitory node
     reports its step mask from the first repeat it matched in."""
     if sample_size < 1 or repeats < 1:
         raise ValueError("sample_size and repeats must be >= 1")

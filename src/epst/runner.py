@@ -62,13 +62,10 @@ class EpstRunResult:
         times = self.trigger_times
         i = max(bisect.bisect_right(times, step_lo + 1) - 1, 0)
         while i < len(times) and times[i] <= step_hi:
+            t = times[i]
             last = step_hi if i + 1 == len(times) else min(step_hi, times[i + 1] - 1)
-            for n, channel, p in self.matrices[i].cells:
-                step = times[i] + n
-                if step > last:
-                    break
-                if step > step_lo:
-                    yield step, channel, p
+            for n, channel, p in self.matrices[i].cells_in(step_lo + 1 - t, last - t):
+                yield t + n, channel, p
             i += 1
 
 

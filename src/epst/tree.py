@@ -19,20 +19,23 @@ shifted right by d - b is set, one AND per child with no search.
 
 Step 1 and prediction start that walk at the level-2 nodes a pair of events
 selects. A forest's trees (`forest`; a lone tree is a forest of one) share
-one pair index, `EpstTree.pairs`: (c1, c2, d2 - d1) -> every level-2 node
-((d1, c1), (d2, c2)), with the channel of its tree. Two items match two
-events only if their gap is the events' gap (within 2*tol), so a lookup
-per event pair finds every level-2 node that can match, and the walk
-checks each exactly. `_add_child` and `_detach` keep the index.
+one `ForestIndex`, `EpstTree.index`. Its `pairs` map (c1, c2, d2 - d1) to
+every level-2 node ((d1, c1), (d2, c2)), with the channel of its tree. Two
+items match two events only if their gap is the events' gap (within
+2*tol), so a lookup per event pair finds every level-2 node that can
+match, and the walk checks each exactly. Its `level1` maps a channel c to
+every level-1 node (d, c), so step 1 counts the level-1 nodes of a spike's
+channel with one lookup. `_add_child` and `_detach` keep both.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from itertools import accumulate, groupby
 from operator import attrgetter, or_
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .events import (
     Event,
@@ -118,22 +121,34 @@ class TreeNode:
         return self._sort_key
 
 
-# (c1, c2, d2 - d1) -> {level-2 node ((d1, c1), (d2, c2)): channel of its
-# tree}; it holds no tree, so a dropped forest leaves no reference cycle
-PairIndex = Dict[Tuple[int, int, int], Dict[TreeNode, int]]
+class ForestIndex:
+    """The index a forest's trees share (module docstring). Each entry maps
+    a node to the channel of its tree; it holds no tree, so a dropped
+    forest leaves no reference cycle."""
+
+    __slots__ = ("pairs", "level1")
+
+    def __init__(self):
+        # (c1, c2, d2 - d1) -> {level-2 node ((d1, c1), (d2, c2)): tree channel}
+        self.pairs: Dict[Tuple[int, int, int], Dict[TreeNode, int]] = {}
+        # c -> {level-1 node (d, c): tree channel}
+        self.level1: Dict[int, Dict[TreeNode, int]] = {}
 
 
-def _pair_key(path: Subsequence) -> Tuple[int, int, int]:
-    (d1, c1), (d2, c2) = path[:2]
+def _key_of(node: TreeNode):
+    """The key of a level-1 or level-2 node in its `ForestIndex` map."""
+    if node.depth == 1:
+        return node.item[1]
+    (d1, c1), (d2, c2) = node.path
     return c1, c2, d2 - d1
 
 
 class EpstTree:
     """One prediction unit: learns to predict spikes in channel `g`. Its
-    level-2 nodes are entered in `pairs`, the index of its forest (module
-    docstring), a new one unless given."""
+    level-1 and level-2 nodes are entered in `index`, the index of its
+    forest (module docstring), a new one unless given."""
 
-    def __init__(self, g: int, params: EpstParams, pairs: Optional[PairIndex] = None):
+    def __init__(self, g: int, params: EpstParams, index: Optional[ForestIndex] = None):
         if g < 0:
             raise ValueError("preferred channel must be >= 0")
         self.g = g
@@ -141,7 +156,7 @@ class EpstTree:
         self.root = TreeNode(())
         self.root_count = 0          # n(g): spikes seen in the preferred channel
         self.node_count = 0
-        self.pairs: PairIndex = {} if pairs is None else pairs
+        self.index = ForestIndex() if index is None else index
 
     # -- structure ---------------------------------------------------------
 
@@ -151,8 +166,10 @@ class EpstTree:
             parent.children, parent.by_channel = {}, {}
         parent.children[item] = node
         parent.by_channel.setdefault(item[1], []).append(node)
-        if parent.depth == 1:
-            self.pairs.setdefault(_pair_key(node.path), {})[node] = self.g
+        if parent.depth == 0:
+            self.index.level1.setdefault(item[1], {})[node] = self.g
+        elif parent.depth == 1:
+            self.index.pairs.setdefault(_key_of(node), {})[node] = self.g
         self.node_count += 1
         return node
 
@@ -166,18 +183,20 @@ class EpstTree:
         if not parent.children:
             parent.children = parent.by_channel = _NO_CHILDREN
         if parent.depth == 0:
+            self._unindex(self.index.level1, child)
             for level2 in child.children.values():
-                self._unindex(level2)
+                self._unindex(self.index.pairs, level2)
         elif parent.depth == 1:
-            self._unindex(child)
+            self._unindex(self.index.pairs, child)
         self.node_count -= 1 + sum(1 for _ in _descendants(child))
 
-    def _unindex(self, level2: TreeNode) -> None:
-        key = _pair_key(level2.path)
-        entries = self.pairs[key]
-        del entries[level2]
+    @staticmethod
+    def _unindex(index: Dict, node: TreeNode) -> None:
+        key = _key_of(node)
+        entries = index[key]
+        del entries[node]
         if not entries:
-            del self.pairs[key]
+            del index[key]
 
     def _chain(self, node: TreeNode) -> List[TreeNode]:
         """The nodes from the root down to `node`, found by walking its
@@ -209,7 +228,7 @@ class EpstTree:
         """Triggered on any spike: `count_denominators` in this tree alone,
         even when it shares its index with other trees."""
         tolerance = match_tolerance(self.params)
-        count_denominators((self,), event.channel, window, tolerance, only=self.g)
+        count_denominators((self,), event.channel, window, tolerance)
 
     def _bounded_entries(self, window: HistoryWindow) -> Tuple[Item, ...]:
         """The entries to store; ValueError if the oldest is beyond M."""
@@ -252,9 +271,9 @@ class EpstTree:
                 continue
             if node.depth >= p.max_subseq_len:
                 continue
-            for entry in entries:
-                if entry <= node.item:
-                    continue  # canonical order; each subset built once
+            # canonical order: only entries after the node's own item, so
+            # each subset is built once
+            for entry in entries[bisect_right(entries, node.item):]:
                 if entry in node.children:
                     continue
                 child = self._add_child(node, entry)
@@ -284,19 +303,15 @@ def count_denominators(
     channel: int,
     window: HistoryWindow,
     tolerance,
-    only: Optional[int] = None,
 ) -> None:
-    """Learning step 1 for a spike on `channel` in the forest of `trees`,
-    or in its tree `only` alone; `tolerance` is `match_tolerance`'s state
-    for this window. Every level-1 node on the spike's channel counts.
-    Below it, a node counts once per spike when its path matches the
-    window in a walk anchored at the level-1 delay: one lookup per window
-    entry (wd, c) finds the level-2 nodes ((d1, channel), (d2, c)) with
-    d2 - d1 within tol of wd."""
-    for tree in trees:
-        for level1 in tree.root.by_channel.get(channel, ()):
-            if level1.inhibitory is None:
-                level1.denominator += 1
+    """Learning step 1 for a spike on `channel` in `trees`: a `Forest`, or
+    some trees of one or more forests (then only their nodes count);
+    `tolerance` is `match_tolerance`'s state for this window. Every level-1
+    node on the spike's channel counts. Below it, a node counts once per
+    spike when its path matches the window in a walk anchored at the
+    level-1 delay: one lookup per window entry (wd, c) finds the level-2
+    nodes ((d1, channel), (d2, c)) with d2 - d1 within tol of wd."""
+    indexes, keep = forest_indexes(trees)
     occ = window.occupancy
     if tolerance is None:
         keys: Iterable = [(channel, wc, wd) for wd, wc in window.entries]
@@ -308,13 +323,17 @@ def count_denominators(
             for gap in range(wd - tol if wd > tol else 0, wd + tol + 1)
         }
     matched: Dict[TreeNode, int] = {}
-    for pairs in pair_indexes(trees):
+    for index in indexes:
+        for node, g in index.level1.get(channel, {}).items():
+            if node.inhibitory is None and (keep is None or g in keep):
+                node.denominator += 1
+        pairs = index.pairs
         for key in keys:
             entries = pairs.get(key)
             if entries is None:
                 continue
             for node, g in entries.items():
-                if only is not None and g != only:
+                if keep is not None and g not in keep:
                     continue
                 base, seg = node.path[0][0], 1
                 if tolerance is not None:
@@ -330,14 +349,24 @@ def count_denominators(
             node.denominator += 1
 
 
-def pair_indexes(trees: Sequence[EpstTree]) -> List[PairIndex]:
-    """The distinct pair indexes of `trees`, one per forest: most often
-    the one that all of them share."""
-    pairs = trees[0].pairs
-    for tree in trees:
-        if tree.pairs is not pairs:
-            return list({id(tree.pairs): tree.pairs for tree in trees}.values())
-    return [pairs]
+class Forest(list):
+    """Trees, one per channel, that share one `ForestIndex`, `index`, and
+    are all of its trees (`forest` builds one)."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, trees: Iterable[EpstTree], index: ForestIndex):
+        super().__init__(trees)
+        self.index = index
+
+
+def forest_indexes(trees: Sequence[EpstTree]) -> Tuple[Iterable[ForestIndex], Optional[Set[int]]]:
+    """The indexes that `trees` are entered in, and the channels of the
+    trees to keep from their entries: a `Forest` names its index and keeps
+    every entry (None); any other sequence is scanned."""
+    if type(trees) is Forest:
+        return (trees.index,), None
+    return {id(tree.index): tree.index for tree in trees}.values(), {tree.g for tree in trees}
 
 
 def learn_step(
@@ -356,13 +385,13 @@ def learn_step(
         trees[e.channel].step2_numerators_and_extend(window)
 
 
-def forest(num_channels: int, params: EpstParams) -> List[EpstTree]:
-    """Fresh trees, one per channel, sharing one pair index."""
-    pairs: PairIndex = {}
-    return [EpstTree(g, params, pairs) for g in range(num_channels)]
+def forest(num_channels: int, params: EpstParams) -> Forest:
+    """Fresh trees, one per channel, sharing one index."""
+    index = ForestIndex()
+    return Forest((EpstTree(g, params, index) for g in range(num_channels)), index)
 
 
-def learn_stream(stream: EventStream, params: EpstParams) -> List[EpstTree]:
+def learn_stream(stream: EventStream, params: EpstParams) -> Forest:
     """A fresh `forest`, learned online over the whole stream one time
     step at a time, with no prediction."""
     trees = forest(stream.num_channels, params)
@@ -407,8 +436,10 @@ def match_occupancy(groups, mask, occ, base, tolerance, results, min_len, min_de
 
 
 def match_tolerance(params: EpstParams):
-    """`match_occupancy`'s state at tol > 0, None at tol 0: (tol, M, channel
-    -> [OR of o >> 0..k for k in 0..2*tol]), the ORs built on first use."""
+    """`match_occupancy`'s state at tol > 0, None at tol 0: (tol, M,
+    occupancy o -> [OR of o >> 0..k for k in 0..2*tol]), the ORs built on
+    first use. They are keyed by the occupancy itself, so a state serves
+    any number of windows and contexts."""
     tol = params.matching_interval
     return (tol, params.history_window, {}) if tol else None
 
@@ -423,9 +454,10 @@ def _tolerant_steps(tolerance, path: Subsequence, mask: int, c: int, o: int, bas
     d = path[-1][0] - base
     lo = d - tol if d > tol else 1
     hi = d + tol if d + tol < top else top
-    if c not in spans:
-        spans[c] = list(accumulate((o >> k for k in range(2 * tol + 1)), or_))
-    seg = mask & spans[c][hi - lo] >> lo
+    ors = spans.get(o)
+    if ors is None:
+        ors = spans[o] = list(accumulate((o >> k for k in range(2 * tol + 1)), or_))
+    seg = mask & ors[hi - lo] >> lo
     # below a level-1 node (step 1, base > 0) the path starts after its item, the spike
     same = seg and [pd - base for pd, pc in path[1 if base else 0:] if pc == c]
     if not same or len(same) < 2 or d - same[-2] > 2 * tol:

@@ -32,13 +32,20 @@ from epst.tree import EpstParams
 from test_runner import noisy_stream
 
 
+def rows_matrix(trigger_time, steps, estimates):
+    """The PredictionMatrix whose grid holds `estimates`, channel -> its row
+    of M' + 1 probabilities."""
+    cells = sorted((n, c, p) for c, row in estimates.items() for n, p in enumerate(row) if p)
+    return PredictionMatrix(trigger_time, steps, tuple(cells))
+
+
 def make_run(cells, trigger=10, steps=28, num_channels=2):
     """EpstRunResult with one trigger whose grid holds `cells`:
     {(channel, absolute step): probability}."""
     estimates = {c: [0.0] * (steps + 1) for c in range(num_channels)}
     for (c, step), p in cells.items():
         estimates[c][step - trigger] = p
-    matrix = PredictionMatrix(trigger_time=trigger, steps=steps, estimates=estimates)
+    matrix = rows_matrix(trigger, steps, estimates)
     return EpstRunResult([trigger], [matrix], [])
 
 
@@ -121,7 +128,7 @@ def test_next_event_probability_channel_sum_is_one():
 
 def test_latest_estimate():
     run = make_run({(0, 13): 0.7})
-    m2 = PredictionMatrix(trigger_time=20, steps=28, estimates={0: [0.0, 0.2] + [0.0] * 27})
+    m2 = rows_matrix(20, 28, {0: [0.0, 0.2] + [0.0] * 27})
     run.trigger_times.append(20)
     run.matrices.append(m2)
 
@@ -286,7 +293,7 @@ def random_case(seed, num_channels=3, steps=6):
                 continue
             row = rng.random(steps + 1) * (rng.random(steps + 1) < 0.4)
             estimates[c] = [float(v) for v in row]
-        matrices.append(PredictionMatrix(t, steps, estimates))
+        matrices.append(rows_matrix(t, steps, estimates))
     run = EpstRunResult(times, matrices, [])
     events = sorted(
         (int(rng.integers(0, 70)), int(rng.integers(0, num_channels)), LABELS[int(rng.integers(4))])
@@ -383,7 +390,7 @@ def test_before_capped_tail_looks_up_only_the_rows_of_its_trigger(monkeypatch):
     for t in times:
         channels = rng.choice(num_channels, size=rows, replace=False)
         estimates = {int(c): [float(v) for v in rng.random(13)] for c in channels}
-        matrices.append(PredictionMatrix(t, 12, estimates))
+        matrices.append(rows_matrix(t, 12, estimates))
     run = EpstRunResult(times, matrices, [])
 
     lookups = [0]

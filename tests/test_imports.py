@@ -3,7 +3,10 @@ it imports. A module's `__all__` entries (the package's re-exports) and
 `from __future__` imports are exempt. No function of the package nested in
 another refers to its own name: such a function reaches itself through its
 closure cell, a reference cycle per call of the outer function that only
-the cyclic garbage collector frees."""
+the cyclic garbage collector frees. No module of the package tunes that
+collector (`gc.disable`, `gc.freeze`, `gc.set_threshold`): the package
+leaves no garbage it needs, and pausing it only moves the collector's walk
+of a new forest into the code that runs next."""
 
 import ast
 from pathlib import Path
@@ -81,3 +84,43 @@ def test_self_referring_closure_detected():
         "        return walk, once\n"
     )
     assert self_referring_closures(source) == [(5, "walk")]
+
+
+COLLECTOR_TUNING = {"disable", "freeze", "set_threshold"}
+
+
+def collector_tuning(source: str):
+    """(line, name) of every use of `gc.disable`, `gc.freeze` or
+    `gc.set_threshold`, under any name the `gc` module is imported as."""
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "gc"
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "gc":
+            found.update((node.lineno, a.name) for a in node.names if a.name in COLLECTOR_TUNING)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in COLLECTOR_TUNING
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            found.add((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_collector_tuning(path):
+    assert collector_tuning(path.read_text(encoding="utf-8")) == []
+
+
+def test_collector_tuning_detected():
+    source = (
+        "import gc\nimport gc as collector\nfrom gc import freeze\n"
+        "gc.collect()\ngc.disable()\npause = collector.set_threshold\n"
+        "class C:\n    disable = 1\nC.disable\n"
+    )
+    assert collector_tuning(source) == [(3, "freeze"), (5, "disable"), (6, "set_threshold")]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epst import runner, tree as tree_module
+from epst import infer as infer_module, runner, tree as tree_module
 from epst.acceptance import _injective_match, random_stream
 from epst.events import Event, EventStream, HistoryWindow, window_of
 from epst.extensions import VARIANTS, record_false_positive
@@ -202,17 +202,19 @@ def test_tree_delays_stay_within_history_window():
 
 
 def test_sparse_rows():
-    matrix = PredictionMatrix(trigger_time=10, steps=3, estimates={2: [0.0, 0.5, 0.0, 0.25]})
+    matrix = PredictionMatrix(trigger_time=10, steps=3, cells=((1, 2, 0.5), (3, 2, 0.25)))
     assert matrix.probability(0, 1) == 0.0
+    assert matrix.probability(2, 1) == 0.5
     assert 0 not in matrix.estimates
     # indexing a missing row stores a zero row, which adds no cell
     row = matrix.estimates[0]
     assert row == [0.0] * 4
     assert dict(matrix.estimates.items()) == {2: [0.0, 0.5, 0.0, 0.25], 0: [0.0] * 4}
     assert matrix.cells == ((1, 2, 0.5), (3, 2, 0.25))
-    # and later readers of the rows see writes to it
+    # and later readers of the rows see writes to it; the cells stay
     row[3] = 1.5
     assert max(max(r) for _, r in matrix.estimates.items()) == 1.5
+    assert matrix.probability(0, 3) == 0.0
     copy = pickle.loads(pickle.dumps(matrix))
     assert copy == matrix
     assert copy.estimates[5] == [0.0] * 4
@@ -383,7 +385,7 @@ def test_dense_and_sparse_contexts_match_naive_oracle(min_len, tol):
     for tree in trees:
         for e in stream.events[10:40:6]:
             record_false_positive(tree, window_of(stream, e.time, p.history_window))
-    keys = len(trees[0].pairs)
+    keys = len(trees[0].index.pairs)
     rng = np.random.default_rng(min_len + tol)
     t = 500
     dense = [(t - a, c) for a in range(p.history_window + 1) for c in range(3) if rng.random() < 0.7]
@@ -575,21 +577,25 @@ def _sampled_reference(trees, stream, t, sample_size, repeats, seed):
     if sample_size >= len(events):
         return predict_from_context(trees, events, t)
     rng = np.random.default_rng(seed)
-    agg = PredictionMatrix(trigger_time=t, steps=trees[0].params.prediction_window)
+    best, agg_hits = {}, {}   # (n, channel) -> (p, winner)
     for _ in range(repeats):
         idx = rng.choice(len(events), size=sample_size, replace=False)
         matrix = predict_from_context(trees, [events[i] for i in sorted(idx)], t)
-        for g, row in matrix.estimates.items():
-            arow = agg.estimates[g]
-            for n, p in enumerate(row):
-                if p > arow[n]:
-                    arow[n] = p
-                    agg.chosen[(g, n)] = matrix.chosen[(g, n)]
+        for (n, g, p), winner in zip(matrix.cells, matrix.winners):
+            if p > best.get((n, g), (0.0,))[0]:
+                best[(n, g)] = (p, winner)
         for g, hits in matrix.inhibitory_hits.items():
-            seen = agg.inhibitory_hits.setdefault(g, [])
+            seen = agg_hits.setdefault(g, [])
             known = {node for node, _ in seen}
             seen.extend(h for h in hits if h[0] not in known)
-    return agg
+    keys = sorted(best)
+    return PredictionMatrix(
+        t,
+        trees[0].params.prediction_window,
+        tuple((n, g, best[(n, g)][0]) for n, g in keys),
+        tuple(best[key][1] for key in keys),
+        agg_hits,
+    )
 
 
 def assert_same_prediction(got, want):
@@ -652,6 +658,104 @@ def test_sampled_run_matches_per_repeat_reference(monkeypatch):
     assert [tree.dump() for tree in got.trees] == [tree.dump() for tree in want.trees]
     assert [m.cells for m in got.matrices] == [m.cells for m in want.matrices]
     assert sum(len(m.cells) for m in got.matrices) > 0
+
+
+# ---------------------------------------------------------------------------
+# a prediction is its cells; the views are derived
+
+
+def count_views(monkeypatch):
+    """Count the Candidates and estimate views that `infer` builds."""
+    built = dict.fromkeys(("Candidate", "_Rows"), 0)
+    for name in built:
+        base = getattr(infer_module, name)
+
+        def init(self, *args, base=base, name=name):
+            built[name] += 1
+            base.__init__(self, *args)
+
+        monkeypatch.setattr(infer_module, name, type(name, (base,), {"__init__": init}))
+    return built
+
+
+@pytest.mark.parametrize(
+    "variant,sampling",
+    [(variant, None) for variant in VARIANTS] + [("epst", SamplingConfig(2, 2))],
+)
+def test_run_builds_no_candidate_and_no_rows(variant, sampling, monkeypatch):
+    stream = random_stream(61, 200, 3)
+    params = EpstParams(history_window=16, prediction_window=8, branch_extension_threshold=0)
+    with monkeypatch.context() as m:
+        built = count_views(m)
+        run = run_epst(stream, params, VARIANTS[variant], sampling)
+        assert built == {"Candidate": 0, "_Rows": 0}
+        assert sum(len(matrix.cells) for matrix in run.matrices) > 0
+        # built on first read, then stored
+        matrix = next(matrix for matrix in run.matrices if matrix.cells)
+        assert matrix.chosen is matrix.chosen and matrix.estimates is matrix.estimates
+        assert built == {"Candidate": len(matrix.cells), "_Rows": 1}
+
+
+@pytest.mark.parametrize("tol", [0, 2])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_run_views_match_naive_oracle(variant, tol, monkeypatch):
+    # the oracle runs at prediction time and the views are derived after
+    # the run, when learning has changed the counts: the winners hold the
+    # counts they had when they won
+    stream = random_stream(62 + tol, 100, 3)
+    params = EpstParams(
+        history_window=10, prediction_window=6, max_subseq_len=3, matching_interval=tol
+    )
+    want = []
+    predict = runner.predict_from_context
+
+    def recording(trees, events, t):
+        want.append(naive_matrix(trees, events, t)[:2])
+        return predict(trees, events, t)
+
+    monkeypatch.setattr(runner, "predict_from_context", recording)
+    run = run_epst(stream, params, VARIANTS[variant])
+    assert [(matrix.estimates, matrix.chosen) for matrix in run.matrices] == want
+    assert sum(len(chosen) for _, chosen in want) > 20
+
+
+def test_run_cells_and_winners_hold_no_tree_node():
+    run = run_epst(random_stream(63, 200, 3), EpstParams(history_window=16), VARIANTS["epst_ip"])
+
+    def leaves(value):
+        if isinstance(value, tuple):
+            for item in value:
+                yield from leaves(item)
+        else:
+            yield value
+
+    held = [(m.cells, m.winners) for m in run.matrices]
+    assert {type(leaf) for leaf in leaves(tuple(held))} == {int, float}
+
+
+def test_equal_lanes_without_overlap_keep_the_lower_lane(monkeypatch):
+    # a (3, 1) and b (5, 2), both 1/2, each match at step 2 in its own lane:
+    # no two masks overlap, so nothing is ranked, and the lower lane wins
+    p = EpstParams(history_window=16, prediction_window=4, min_subseq_len=1)
+    tree = EpstTree(0, p)
+    a = tree._add_child(tree.root, (3, 1))
+    b = tree._add_child(tree.root, (5, 2))
+    a.numerator, a.denominator = 1, 2
+    b.numerator, b.denominator = 2, 4
+    ranked = []
+    rank_key = infer_module._rank_key
+    monkeypatch.setattr(infer_module, "_rank_key", lambda node: ranked.append(node) or rank_key(node))
+    events = [(99, 1), (97, 2)]   # ages 1 and 3
+    for lanes, winner in (([[0], [1]], a), ([[1], [0]], b)):
+        matrix = predict_from_context([tree], events, 100, lanes)
+        assert matrix.cells == ((2, 0, 0.5),)
+        assert matrix.chosen == {(0, 2): candidate_from_node(winner)}
+    assert ranked == []
+    # one lane holding both: the two masks share step 2, so the tree is
+    # ranked, and b's higher denominator wins
+    matrix = predict_from_context([tree], events, 100)
+    assert matrix.chosen == {(0, 2): candidate_from_node(b)}
+    assert ranked
 
 
 def test_sampling_argument_validation():

@@ -180,16 +180,18 @@ def _walk(node):
 
 
 def assert_pair_index(trees):
-    """The forest's shared pair index equals a recount of its trees'
-    level-2 nodes."""
-    expected = {}
+    """The forest's shared index equals a recount of its trees' level-1
+    and level-2 nodes."""
+    pairs, level1s = {}, {}
     for tree in trees:
-        assert tree.pairs is trees[0].pairs
+        assert tree.index is trees[0].index
         for level1 in tree.root.children.values():
+            level1s.setdefault(level1.item[1], {})[level1] = tree.g
             for node in level1.children.values():
                 (d1, c1), (d2, c2) = node.path
-                expected.setdefault((c1, c2, d2 - d1), {})[node] = tree.g
-    assert trees[0].pairs == expected
+                pairs.setdefault((c1, c2, d2 - d1), {})[node] = tree.g
+    assert trees[0].index.pairs == pairs
+    assert trees[0].index.level1 == level1s
 
 
 def test_sort_key_kept_through_maintenance():
@@ -198,7 +200,7 @@ def test_sort_key_kept_through_maintenance():
     trees = learn_stream(stream, p)
     tree = trees[0]
     assert_pair_index(trees)
-    assert tree.pairs
+    assert tree.index.pairs
     for node in tree.iter_nodes():
         node.sort_key()
     for e in stream.events[30:70:5]:
@@ -237,34 +239,43 @@ def test_sort_key_kept_through_maintenance():
 def test_pair_index_follows_add_child_and_detach():
     trees = forest(2, EpstParams())
     tree, other = trees
+    assert trees.index is tree.index is other.index
+    pairs, level1 = tree.index.pairs, tree.index.level1
     root = tree.root
     a = tree._add_child(root, (3, 1))
-    tree._add_child(root, (4, 1))
+    a4 = tree._add_child(root, (4, 1))
     b = tree._add_child(root, (5, 1))
-    assert tree.pairs == {}
+    assert pairs == {}
+    assert level1 == {1: {a: 0, a4: 0, b: 0}}
     b2 = tree._add_child(b, (7, 2))
-    assert tree.pairs == {(1, 2, 2): {b2: 0}}
+    assert pairs == {(1, 2, 2): {b2: 0}}
     # the same (channel, channel, gap) at another delay, and in another tree
     a2 = tree._add_child(a, (5, 2))
     o = other._add_child(other.root, (1, 1))
     o2 = other._add_child(o, (3, 2))
     # a level-3 node is not entered
     tree._add_child(a2, (8, 0))
-    assert tree.pairs == {(1, 2, 2): {b2: 0, a2: 0, o2: 1}}
+    assert pairs == {(1, 2, 2): {b2: 0, a2: 0, o2: 1}}
+    assert level1 == {1: {a: 0, a4: 0, b: 0, o: 1}}
     a3 = tree._add_child(a, (3, 2))
-    assert tree.pairs == {(1, 2, 2): {b2: 0, a2: 0, o2: 1}, (1, 2, 0): {a3: 0}}
+    o0 = other._add_child(other.root, (2, 0))
+    assert pairs == {(1, 2, 2): {b2: 0, a2: 0, o2: 1}, (1, 2, 0): {a3: 0}}
+    assert level1 == {1: {a: 0, a4: 0, b: 0, o: 1}, 0: {o0: 1}}
     assert_pair_index(trees)
     tree.remove_node(a2)
-    assert tree.pairs == {(1, 2, 2): {b2: 0, o2: 1}, (1, 2, 0): {a3: 0}}
+    assert pairs == {(1, 2, 2): {b2: 0, o2: 1}, (1, 2, 0): {a3: 0}}
     # removing a level-1 node removes its level-2 children
     tree.remove_node(a)
     tree.remove_node(b)
-    assert other.pairs == {(1, 2, 2): {o2: 1}}
+    assert pairs == {(1, 2, 2): {o2: 1}}
+    assert level1 == {1: {a4: 0, o: 1}, 0: {o0: 1}}
     other.remove_node(o)
-    assert tree.pairs == {}
+    other.remove_node(o0)
+    assert pairs == {}
+    assert level1 == {1: {a4: 0}}
     assert_pair_index(trees)
     # a lone tree is a forest of one
-    assert EpstTree(0, EpstParams()).pairs is not EpstTree(0, EpstParams()).pairs
+    assert EpstTree(0, EpstParams()).index is not EpstTree(0, EpstParams()).index
 
 
 @pytest.mark.parametrize("tol", [0, 2])
@@ -287,6 +298,25 @@ def test_step1_in_one_tree_of_a_forest(tol):
         count_denominators(together, e.channel, window, tolerance)
     assert [tree_counts(tree) for tree in alone] == [tree_counts(tree) for tree in together]
     assert [tree_counts(tree) for tree in alone] != [
+        tree_counts(tree) for tree in learn_stream(stream, p)
+    ]
+
+
+def test_one_tolerance_state_serves_two_windows():
+    # the state's ORs follow the occupancy they are read for: one state for
+    # two windows at tol 2 counts what step 1 with a state per window counts
+    p = EpstParams(
+        history_window=12, max_subseq_len=3, branch_extension_threshold=0, matching_interval=2
+    )
+    stream = random_stream(5, 50, 3)
+    reused, fresh = learn_stream(stream, p), learn_stream(stream, p)
+    state = tree_module.match_tolerance(p)
+    for e in stream.events[20:40:19]:
+        window = window_of(stream, e.time, p.history_window)
+        count_denominators(reused, e.channel, window, state)
+        count_denominators(fresh, e.channel, window, tree_module.match_tolerance(p))
+    assert [tree_counts(tree) for tree in reused] == [tree_counts(tree) for tree in fresh]
+    assert [tree_counts(tree) for tree in reused] != [
         tree_counts(tree) for tree in learn_stream(stream, p)
     ]
 
@@ -350,5 +380,5 @@ def test_pair_index_after_a_whole_run(variant, sampling, tol, monkeypatch):
     monkeypatch.setattr(runner, "inhibitory_maintenance", counting_maintenance)
     run = runner.run_epst(stream, params, VARIANTS[variant], sampling)
     assert_pair_index(run.trees)
-    assert run.trees[0].pairs
+    assert run.trees[0].index.pairs
     assert bool(destroyed) == (VARIANTS[variant].inhibition and sampling is None)
