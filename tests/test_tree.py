@@ -293,7 +293,7 @@ def test_step1_in_one_tree_of_a_forest(tol):
             before = [tree_counts(other) for other in alone if other is not tree]
             tree.step1_denominators(e, window)
             assert [tree_counts(other) for other in alone if other is not tree] == before
-        # a tolerance state is built for one window: its ORs are the window's
+        # one tolerance state per window, as learn_step builds it
         tolerance = tree_module.match_tolerance(p)
         count_denominators(together, e.channel, window, tolerance)
     assert [tree_counts(tree) for tree in alone] == [tree_counts(tree) for tree in together]
